@@ -1,5 +1,6 @@
 #include "core/characterization.h"
 
+#include "obs/trace.h"
 #include "tasks/canonical.h"
 #include "topology/graph.h"
 
@@ -7,7 +8,10 @@ namespace trichroma {
 
 CharacterizationResult characterize(const Task& task) {
   CharacterizationResult result;
-  result.canonical = canonicalize(task);
+  {
+    TRI_SPAN("core/canonicalize");
+    result.canonical = canonicalize(task);
+  }
   result.output_components_before = component_count(result.canonical.output);
   result.output_betti_before = betti_numbers(result.canonical.output);
 

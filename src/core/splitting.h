@@ -31,8 +31,21 @@ struct SplitResult {
   std::vector<VertexId> copies;  ///< y_1, ..., y_r in component order
 };
 
+/// Applies the splitting deformation for `lap` to `task` itself and returns
+/// the copies y_1, ..., y_r. Only the facet lists of Δ that contain y are
+/// rewritten, and O loses y's star and gains the rewired facets; everything
+/// else is left as it is. Preconditions: `task` is canonical
+/// (Task::is_canonical()) and O is exactly the reachable part of Δ.
+///
+/// `lap` must describe the current task: y a vertex of Δ(σ), at least two
+/// components, and every vertex of lk_{Δ(σ)}(y) in exactly one of them, with
+/// no facet of Δ(σ) straddling two. A record that does not (for example one
+/// taken before an earlier split of y) throws std::logic_error before
+/// anything is interned or changed.
+std::vector<VertexId> split_lap_in_place(Task& task, const LapRecord& lap);
+
 /// Applies the splitting deformation for `lap` (as returned by find_laps on
-/// `task`). Precondition: `task` is canonical (Task::is_canonical()).
+/// `task`) to a copy of `task`: split_lap_in_place on the copy.
 SplitResult split_lap(const Task& task, const LapRecord& lap);
 
 /// Interns the i-th split copy (1-based) of `y`: (color(y), ("split", value(y), i)).

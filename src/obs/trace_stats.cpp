@@ -213,15 +213,49 @@ TraceStats analyze_trace(const std::string& trace_json) {
   stats.spans_paired = spans.size();
   stats.wall_ms = any_ts ? (last_us - first_us) / 1000.0 : 0.0;
 
+  // Self time: per tid, walk the spans in start order (enclosing span
+  // first on ties) with a stack of open intervals; each span's duration is
+  // charged against its innermost enclosing span.
+  std::vector<double> self_us(spans.size());
+  {
+    std::vector<std::size_t> order(spans.size());
+    for (std::size_t i = 0; i < spans.size(); ++i) {
+      order[i] = i;
+      self_us[i] = spans[i].dur_us();
+    }
+    std::sort(order.begin(), order.end(), [&spans](std::size_t a, std::size_t b) {
+      const Span& x = spans[a];
+      const Span& y = spans[b];
+      if (x.tid != y.tid) return x.tid < y.tid;
+      if (x.start_us != y.start_us) return x.start_us < y.start_us;
+      return x.end_us > y.end_us;
+    });
+    std::vector<std::size_t> stack;
+    for (std::size_t i : order) {
+      const Span& s = spans[i];
+      while (!stack.empty() && (spans[stack.back()].tid != s.tid ||
+                                spans[stack.back()].end_us < s.end_us)) {
+        stack.pop_back();
+      }
+      if (!stack.empty()) self_us[stack.back()] -= s.dur_us();
+      stack.push_back(i);
+    }
+  }
+
   // Per-name aggregates.
   std::map<std::string, std::vector<double>> durations;  // ms, per name
-  for (const Span& s : spans) durations[s.name].push_back(s.dur_us() / 1000.0);
+  std::map<std::string, double> self_ms;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    durations[spans[i].name].push_back(spans[i].dur_us() / 1000.0);
+    self_ms[spans[i].name] += self_us[i] / 1000.0;
+  }
   for (auto& [name, ds] : durations) {
     std::sort(ds.begin(), ds.end());
     SpanAggregate agg;
     agg.name = name;
     agg.count = ds.size();
     for (double d : ds) agg.total_ms += d;
+    agg.self_ms = self_ms[name];
     agg.p50_ms = percentile(ds, 0.50);
     agg.p99_ms = percentile(ds, 0.99);
     agg.max_ms = ds.back();
@@ -281,12 +315,12 @@ std::string format_trace_stats(const TraceStats& stats) {
               static_cast<unsigned long long>(stats.events),
               static_cast<unsigned long long>(stats.spans_paired), stats.wall_ms);
   out += '\n';
-  append_line(out, "%-36s %8s %12s %10s %10s %10s", "span", "count", "total_ms",
-              "p50_ms", "p99_ms", "max_ms");
+  append_line(out, "%-36s %8s %12s %12s %10s %10s %10s", "span", "count", "total_ms",
+              "self_ms", "p50_ms", "p99_ms", "max_ms");
   for (const SpanAggregate& s : stats.spans) {
-    append_line(out, "%-36s %8llu %12.3f %10.3f %10.3f %10.3f", s.name.c_str(),
-                static_cast<unsigned long long>(s.count), s.total_ms, s.p50_ms,
-                s.p99_ms, s.max_ms);
+    append_line(out, "%-36s %8llu %12.3f %12.3f %10.3f %10.3f %10.3f", s.name.c_str(),
+                static_cast<unsigned long long>(s.count), s.total_ms, s.self_ms,
+                s.p50_ms, s.p99_ms, s.max_ms);
   }
   if (!stats.critical_path.empty()) {
     out += '\n';

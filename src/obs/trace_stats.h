@@ -1,7 +1,8 @@
 #pragma once
 // Trace analytics: turn a recorded Chrome trace (obs/trace.h's
 // trace_to_json output, or any trace in the same flat one-object-per-event
-// shape) into answers — per-span-name aggregates, the critical path of the
+// shape) into answers — per-span-name aggregates (inclusive and self
+// time), the critical path of the
 // slowest pipeline run, and per-worker executor utilization. Backs the
 // `trichroma trace-stats` subcommand.
 //
@@ -26,6 +27,9 @@ struct SpanAggregate {
   std::string name;
   std::uint64_t count = 0;
   double total_ms = 0.0;
+  /// Exclusive time: total_ms minus the time of the spans nested directly
+  /// inside these ones on the same thread.
+  double self_ms = 0.0;
   double p50_ms = 0.0;  ///< nearest-rank percentiles over span durations
   double p99_ms = 0.0;
   double max_ms = 0.0;

@@ -73,7 +73,7 @@ bool Task::is_canonical() const {
 bool Task::is_link_connected() const {
   const int top = input.dimension();
   for (const Simplex& sigma : input.simplices(top)) {
-    const auto image = CompiledComplex::compile(delta.image_complex(sigma));
+    const auto image = CompiledComplex::compile_closure(delta.facet_images(sigma));
     const auto nv = static_cast<CompiledComplex::Local>(image->num_vertices());
     for (CompiledComplex::Local y = 0; y < nv; ++y) {
       if (!image->link_empty(y) && !image->link_connected(y)) return false;
@@ -150,8 +150,11 @@ Task clone_task(const Task& task) {
 std::vector<VertexId> preimage_vertices(const Task& task, VertexId y) {
   std::vector<VertexId> out;
   for (VertexId x : task.input.vertex_ids()) {
-    const SimplicialComplex image = task.delta.image_complex(Simplex::single(x));
-    if (image.contains_vertex(y)) out.push_back(x);
+    const std::vector<Simplex>& image = task.delta.facet_images(Simplex::single(x));
+    if (std::any_of(image.begin(), image.end(),
+                    [y](const Simplex& f) { return f.contains(y); })) {
+      out.push_back(x);
+    }
   }
   return out;
 }

@@ -270,6 +270,23 @@ std::shared_ptr<const CompiledComplex> CompiledComplex::compile(
   return out;
 }
 
+std::shared_ptr<const CompiledComplex> CompiledComplex::compile_closure(
+    const std::vector<Simplex>& facets) {
+  TRI_SPAN("topology/compile");
+  static obs::Counter& compiles =
+      obs::MetricsRegistry::global().counter("topology.compiles");
+  compiles.add();
+  Builder builder;
+  for (const Simplex& f : facets) builder.add(f);
+  auto out = builder.finish();
+#ifndef NDEBUG
+  SimplicialComplex closure;
+  for (const Simplex& f : facets) closure.add(f);
+  out->debug_verify_against(closure);
+#endif
+  return out;
+}
+
 // ---------------------------------------------------------------------------
 // Queries
 // ---------------------------------------------------------------------------

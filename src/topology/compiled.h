@@ -53,6 +53,12 @@ class CompiledComplex {
   /// Freezes `k`. The snapshot is independent of `k` afterwards.
   static std::shared_ptr<const CompiledComplex> compile(const SimplicialComplex& k);
 
+  /// Freezes the closure of `facets` (faces are implied), with no
+  /// SimplicialComplex in between: how carrier-map images Δ(σ), stored as
+  /// facet lists, are compiled for LAP scans and link checks.
+  static std::shared_ptr<const CompiledComplex> compile_closure(
+      const std::vector<Simplex>& facets);
+
   /// Streaming construction: feed simplices (duplicates fine, closure not
   /// required), then finish(). Lets producers like subdivide_once emit
   /// facets directly into the flat form without a second pass over hash

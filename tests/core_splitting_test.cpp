@@ -3,6 +3,9 @@
 // preserved), Theorem 4.3 (termination in a link-connected task), and the
 // carrier-map validity of every intermediate task.
 
+#include <stdexcept>
+#include <typeinfo>
+
 #include <gtest/gtest.h>
 
 #include "core/link_connected.h"
@@ -147,6 +150,44 @@ TEST(Splitting, SplitRewiringRespectsComponents) {
       }
     }
   });
+}
+
+// Runs `split` and expects exactly std::logic_error (not a subclass such as
+// the std::out_of_range a failed map lookup throws).
+template <typename F>
+void expect_plain_logic_error(F&& split) {
+  try {
+    split();
+    ADD_FAILURE() << "no exception thrown";
+  } catch (const std::exception& e) {
+    EXPECT_TRUE(typeid(e) == typeid(std::logic_error)) << typeid(e).name() << ": " << e.what();
+  }
+}
+
+TEST(Splitting, MismatchedRecordThrowsBeforeInterning) {
+  // The hourglass's record taken before its split no longer describes the
+  // split task: y is gone from Δ(σ). It must be refused before any copy is
+  // interned, not turned into two orphan copies and a renamed, unchanged
+  // task.
+  const Task t = zoo::hourglass();
+  const auto laps = find_all_laps(t);
+  ASSERT_EQ(laps.size(), 1u);
+  const SplitResult split = split_lap(t, laps[0]);
+  const std::size_t pool_size = t.pool->size();
+  expect_plain_logic_error([&] { split_lap(split.task, laps[0]); });
+  EXPECT_EQ(t.pool->size(), pool_size);
+
+  // A record missing a link vertex (the larger one of a two-vertex
+  // component, so a facet's first vertex still resolves) is refused the same
+  // way, and so is one with fewer than two components.
+  LapRecord partial = laps[0];
+  ASSERT_EQ(partial.link_components.back().size(), 2u);
+  partial.link_components.back().pop_back();
+  expect_plain_logic_error([&] { split_lap(t, partial); });
+  LapRecord single = laps[0];
+  single.link_components.pop_back();
+  expect_plain_logic_error([&] { split_lap(t, single); });
+  EXPECT_EQ(t.pool->size(), pool_size);
 }
 
 TEST(Splitting, RequiresCanonicalTask) {

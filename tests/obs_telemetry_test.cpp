@@ -517,6 +517,12 @@ TEST(TraceStats, MiniTraceAggregatesPinned) {
   EXPECT_NEAR(s.spans[2].p99_ms, 2.0, 1e-9);
   EXPECT_EQ(s.spans[3].name, "topology/subdivide_once");
   EXPECT_NEAR(s.spans[3].total_ms, 1.0, 1e-9);
+  // Self time: the run (10 ms) encloses the prefix (6 ms) and the
+  // subdivision (1 ms) on its thread; the jobs on tid 2 enclose nothing.
+  EXPECT_NEAR(s.spans[0].self_ms, 3.0, 1e-9);
+  EXPECT_NEAR(s.spans[1].self_ms, 6.0, 1e-9);
+  EXPECT_NEAR(s.spans[2].self_ms, 4.0, 1e-9);
+  EXPECT_NEAR(s.spans[3].self_ms, 1.0, 1e-9);
 
   // Critical path descends across tids: run -> its longest contained span
   // -> the executor job nested inside THAT.
@@ -538,6 +544,7 @@ TEST(TraceStats, MiniTraceAggregatesPinned) {
 
   const std::string text = obs::format_trace_stats(s);
   EXPECT_NE(text.find("pipeline/run"), std::string::npos);
+  EXPECT_NE(text.find("self_ms"), std::string::npos);
   EXPECT_NE(text.find("critical path"), std::string::npos);
   EXPECT_NE(text.find("executor workers:"), std::string::npos);
 }

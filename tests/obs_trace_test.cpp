@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/characterization.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "solver/pipeline.h"
@@ -336,6 +337,30 @@ TEST(Metrics, GlobalRegistryAccumulatesSolverCounters) {
   EXPECT_GE(counters["pipeline.engines_run"], 1u);
   EXPECT_GE(counters["topology.compiles"], 1u);
   EXPECT_GE(counters["topology.lap_scans"], 1u);
+}
+
+TEST(Metrics, SplitLoopCountersAndSpansMatchTheHistory) {
+  // majority_consensus takes 42 splits; the library's own counters and
+  // spans must account for every one of them and every copy.
+  obs::MetricsRegistry::global().reset();
+  obs::trace_start();
+  const CharacterizationResult c = characterize(zoo::majority_consensus());
+  obs::trace_stop();
+  ASSERT_EQ(c.splits.size(), 42u);
+  std::uint64_t copies = 0;
+  for (const SplitEvent& s : c.splits) copies += s.copies.size();
+  const auto snapshot = obs::MetricsRegistry::global().snapshot();
+  std::map<std::string, std::uint64_t> counters(snapshot.begin(),
+                                                snapshot.end());
+  EXPECT_EQ(counters["core.splits"], c.splits.size());
+  EXPECT_EQ(counters["core.split.copies"], copies);
+
+  const std::string json = obs::trace_to_json();
+  EXPECT_TRUE(JsonChecker(json).valid());
+  const auto events = scrape_events(json);
+  expect_spans_pair(events);
+  EXPECT_TRUE(has_event_with_prefix(events, "core/canonicalize"));
+  EXPECT_TRUE(has_event_with_prefix(events, "core/split_loop"));
 }
 
 }  // namespace
