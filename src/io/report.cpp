@@ -118,7 +118,7 @@ void emit_engine(Builder& b, const EngineReport& e,
   // bucketed distribution of CSP candidate-domain sizes over every rung
   // this engine searched; level_facets[r] is the top-dimensional facet
   // count of Ch^r for each ladder level it climbed. Both are pure
-  // functions of the task under the "exact"/"ladder" schedules.
+  // functions of the task and budget.
   b.field("domain_sizes", hist_inline(e.domain_size_count, e.domain_size_sum,
                                       e.domain_size_hist));
   b.field("level_facets", u64_array_inline(e.level_facets));
@@ -131,15 +131,15 @@ void emit_engine(Builder& b, const EngineReport& e,
 // v7: the "cache" field gained the "artifacts" value (warm start from a
 // stored sibling record or ladder/Δ-image artifacts) and the metrics cache
 // line gained "seeded_levels". The grep contract below is unchanged.
-// v8: metrics gained the "ladder" sub-object (parallel-build telemetry:
-// chunks stamped, merge wall time, Δ-population stripe contention). Like
-// "executor" it is scheduling-dependent and zeroed under redact_timings.
+// v8: metrics gained the "ladder" sub-object (parallel-build telemetry).
 // v9: per-run attribution. Engines gained the deterministic "domain_sizes"
 // histogram and "level_facets" ladder profile; a top-level "run" object
 // carries the phase latency breakdown (zeroed under redact_timings), the
 // cache tier + seeded levels (on a `"cache":` line, see the grep contract),
 // and deterministic rollups of the new per-engine distributions.
-const char* report_schema() { return "trichroma.pipeline-report/9"; }
+// v10: the metrics "ladder" sub-object and the lane-race schedule value are
+// gone (the pipeline has one sequential schedule).
+const char* report_schema() { return "trichroma.pipeline-report/10"; }
 
 std::string to_json(const PipelineReport& report,
                     const ReportJsonOptions& options) {
@@ -166,7 +166,7 @@ std::string to_json(const PipelineReport& report,
   // Schema v3 dropped the options' thread fields: every solver quantity in
   // this report is thread-count independent (canonical prefix accounting),
   // so recording the worker count only created spurious diffs between
-  // otherwise identical runs. The resolved lane schedule replaces them.
+  // otherwise identical runs. The resolved schedule replaces them.
   b.field("schedule", quote(report.schedule));
   // Schema v6: the verdict-store outcome. Deliberately a single line (as is
   // the metrics "cache" rollup below) so byte-comparisons between warm and
@@ -178,11 +178,8 @@ std::string to_json(const PipelineReport& report,
   b.field("reason", quote(report.reason));
   b.field("radius", std::to_string(report.radius));
   b.field("via_characterization", bool_str(report.via_characterization));
-  // Explicit tri-state-avoiding marker: the characterization payload being
-  // absent is semantically different from it not having been attempted (at
-  // >= 2 threads the probe can win the race before the lane finishes).
-  // Consumers dispatching on "computed" never have to treat a missing or
-  // null field as meaningful.
+  // Explicit marker: consumers dispatching on "computed" never have to
+  // treat a missing or null characterization payload as meaningful.
   b.field("characterization", quote(report.characterization_computed
                                         ? "computed"
                                         : "not-computed"));
@@ -194,7 +191,7 @@ std::string to_json(const PipelineReport& report,
   // tier + seeded levels on a single `"cache":` line (grep contract, see
   // the top-level field); the rollups are sums/concatenations of the
   // deterministic per-engine distributions, byte-identical at every
-  // --jobs/--threads combination under the "exact"/"ladder" schedules.
+  // --jobs value.
   b.open("run", '{');
   b.open("phases", '{');
   b.field("consult_ms",
@@ -233,7 +230,7 @@ std::string to_json(const PipelineReport& report,
 
   // Schema v4 "metrics": rollups computed here from the per-engine fields —
   // they are sums of deterministic quantities, so they stay byte-identical
-  // at every thread count. The executor sub-object is the one scheduling-
+  // at every --jobs value. The executor sub-object is the one scheduling-
   // dependent part and is redacted with the wall clocks.
   std::size_t nodes_total = 0, img_hits = 0, img_misses = 0;
   std::size_t mask_hits = 0, mask_misses = 0;
@@ -262,14 +259,6 @@ std::string to_json(const PipelineReport& report,
   b.field("injections", std::to_string(exec.injections));
   b.field("max_queue_depth", std::to_string(exec.max_queue_depth));
   b.field("help_runs", std::to_string(exec.help_runs));
-  b.close('}');
-  const PipelineReport::LadderBuildStats ladder =
-      options.redact_timings ? PipelineReport::LadderBuildStats{}
-                             : report.ladder_stats;
-  b.open("ladder", '{');
-  b.field("parallel_chunks", std::to_string(ladder.parallel_chunks));
-  b.field("merge_ns", std::to_string(ladder.merge_ns));
-  b.field("stripe_contention", std::to_string(ladder.stripe_contention));
   b.close('}');
   // One line by construction (see the top-level "cache" field).
   b.field("cache", "{ \"hits\": " + std::to_string(report.cache_hits) +

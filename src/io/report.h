@@ -2,8 +2,12 @@
 // Structured JSON rendering of a pipeline run (solver/pipeline.h).
 //
 // The schema is versioned: every document carries
-//   "schema": "trichroma.pipeline-report/9"
-// and consumers should dispatch on it. Version 9 added per-run
+//   "schema": "trichroma.pipeline-report/10"
+// and consumers should dispatch on it. Version 10 dropped the metrics
+// "ladder" sub-object (parallel ladder-build telemetry, gone with the
+// parallel build) and the lane-race schedule value: the pipeline always
+// runs the sequential ladder, so every engine status is a pure function of
+// the task and budget. Version 9 added per-run
 // attribution (Telemetry v2): each engine carries its deterministic
 // "domain_sizes" histogram (base-2 bucketed CSP candidate-domain sizes,
 // rendered `{ "count", "sum", "buckets": [..] }` on one line) and
@@ -37,20 +41,19 @@
 // indistinguishable from a lane that never ran:
 //
 //   {
-//     "schema": "trichroma.pipeline-report/9",
+//     "schema": "trichroma.pipeline-report/10",
 //     "task": { "name", "num_processes", "input_facets", "output_facets" },
 //     "options": { "max_radius", "node_cap", "use_characterization",
 //                  "reuse_subdivisions", "reuse_images" },
-//     "schedule": "exact" | "ladder" | "racing",
+//     "schedule": "exact" | "ladder",
 //     "cache": "off" | "hit" | "miss",
 //     "verdict": "SOLVABLE" | "UNSOLVABLE" | "UNKNOWN",
 //     "reason": string,
 //     "radius": int,                  // -1 when no map search witness
 //     "via_characterization": bool,
 //     "characterization": "computed" | "not-computed",
-//         // whether the characterization lane finished; "not-computed"
-//         // covers both the disabled route and a lane cancelled by the
-//         // winning probe at threads >= 2
+//         // whether the characterization engine ran; "not-computed"
+//         // when the route is disabled or the task is not three-process
 //     "total_wall_ms": number,
 //     "run": {
 //       "phases": { "consult_ms", "engines_ms", "publish_ms" },
@@ -77,6 +80,8 @@
 //     },
 //     "engines": [ {
 //       "name", "side", "status", "precedence",
+//           // status: "conclusive" | "inconclusive" | "completed" |
+//           //         "skipped"
 //       "verdict": string | null,     // only conclusive engines
 //       "reason", "detail",
 //       "radius_reached", "witness_radius",
@@ -93,9 +98,8 @@
 //
 // The emitter is hand-rolled (no third-party JSON dependency) and produces
 // deterministic, stably ordered output — with `redact_timings` the document
-// is byte-for-byte reproducible at every thread count under the "exact"
-// and "ladder" schedules (the batch driver relies on this), and at
-// threads = 1 under "racing", which is what the golden test pins.
+// is byte-for-byte reproducible at every `--jobs` value (the batch driver
+// relies on this, and the golden test pins it).
 
 #include <string>
 

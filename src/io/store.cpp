@@ -208,7 +208,6 @@ bool parse_status(const std::string& s, EngineStatus* out) {
   if (s == "conclusive") *out = EngineStatus::Conclusive;
   else if (s == "inconclusive") *out = EngineStatus::Inconclusive;
   else if (s == "completed") *out = EngineStatus::Completed;
-  else if (s == "cancelled") *out = EngineStatus::Cancelled;
   else if (s == "skipped") *out = EngineStatus::Skipped;
   else return false;
   return true;

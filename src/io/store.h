@@ -14,12 +14,13 @@
 // every engine entry minus wall clocks). They are keyed by the fingerprint
 // AND an options digest: the verdict, the engine statuses, and even the
 // node counts are functions of the budget (max_radius, node_cap, route
-// flags) and of the *resolved* schedule ("ladder" reports and "racing"
-// reports differ by contract), so records for different budgets never
-// alias. Worker-thread counts are deliberately NOT part of the key — every
-// stored quantity is thread-count independent (see solver/pipeline.h), and
-// that is precisely what makes a cache hit byte-identical to the cold run
-// it replays.
+// flags) and of the resolved schedule ("exact" for two processes, "ladder"
+// otherwise), so records for different budgets never alias. Nothing else
+// enters a stored quantity (see solver/pipeline.h), which is precisely what
+// makes a cache hit byte-identical to the cold run it replays. A record
+// naming an engine status this version no longer produces (such as the
+// "cancelled" of the retired lane-race schedule) fails to parse and reads
+// as a miss.
 //
 // Artifacts are serialized in the *canonical index space* of the labeling:
 // a ladder tower or Δ-image table written by one task loads against any

@@ -1,9 +1,7 @@
 #pragma once
-// Cooperative cancellation: the one-way flag shared by the executor's job
-// groups and the solver's analysis engines. A scheduler trips the flag;
-// workers poll it at natural yield points (search-node flushes, probe-radius
-// boundaries, task pickup) and unwind promptly. Lives in runtime/ because
-// the executor hands one to every JobGroup; solver/engine.h re-exports it.
+// Cooperative cancellation: the one-way flag behind JobGroup::cancel. A
+// cancelled or failed group trips it; queued-but-unstarted tasks see it at
+// pickup and complete as no-ops.
 
 #include <atomic>
 
@@ -17,7 +15,7 @@ class CancellationToken {
 
   void request_stop() { stop_.store(true, std::memory_order_relaxed); }
   bool stop_requested() const { return stop_.load(std::memory_order_relaxed); }
-  /// The raw flag, for plumbing into MapSearchOptions / connectivity_csp.
+  /// The raw flag (JobGroup::cancel_flag).
   const std::atomic<bool>* flag() const { return &stop_; }
 
  private:

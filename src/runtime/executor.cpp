@@ -322,17 +322,6 @@ int Executor::workers_spawned() const {
   return spawned_.load(std::memory_order_acquire);
 }
 
-std::size_t Executor::recommended_chunks(int workers, std::size_t items) {
-  if (items == 0) return 0;
-  if (workers <= 1) return 1;
-  // 4 chunks per worker: coarse enough that per-chunk overhead (a builder, a
-  // hash set, a JobGroup ticket) stays negligible, fine enough that one slow
-  // chunk cannot serialize the tail.
-  const std::size_t target =
-      static_cast<std::size_t>(workers > kMaxWorkers ? kMaxWorkers : workers) * 4;
-  return target < items ? target : items;
-}
-
 int Executor::current_worker_index() const {
   const exec_detail::TlsBinding& tls = exec_detail::tls_binding;
   return tls.owner == this ? tls.index : -1;

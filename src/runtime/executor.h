@@ -1,7 +1,8 @@
 #pragma once
 // The shared work-stealing executor: one persistent worker pool serving
-// every parallel layer of the solver (prefix jobs inside find_decision_map,
-// the racing pipeline's impossibility lane, whole-task batch jobs).
+// the solver's one parallel axis — whole-task batch jobs and the batch
+// fingerprint pre-pass (solver/batch.h). Everything inside one task's
+// pipeline is sequential.
 //
 // Job model. Work is submitted through a JobGroup — a hierarchical handle
 // that owns a queue of closures, a CancellationToken, and the first
@@ -28,10 +29,9 @@
 // checks between steals.
 //
 // Determinism. The executor itself promises nothing about ordering; the
-// solver's determinism contract is enforced a layer up (map_search's
-// canonical prefix accounting, the pipeline's precedence merge, the batch
-// driver's catalog-order output), which is exactly what makes stealing
-// safe to use underneath.
+// solver's determinism contract is enforced a layer up (each pipeline is
+// sequential, and the batch driver writes results by catalog slot), which
+// is exactly what makes stealing safe to use underneath.
 
 #include <atomic>
 #include <condition_variable>
@@ -138,14 +138,6 @@ class Executor {
   void reset_stats();
 
   static constexpr int kMaxWorkers = 64;
-
-  /// Chunk-count heuristic for data-parallel fan-out (the chunked
-  /// subdivision build, the striped Δ-image population): enough chunks per
-  /// worker that stealing can smooth imbalance, capped at the item count. A
-  /// pure function of (workers, items) — never of runtime load — so the
-  /// decomposition is reproducible; and because every consumer merges chunks
-  /// in deterministic order, the chunk count itself never reaches a report.
-  static std::size_t recommended_chunks(int workers, std::size_t items);
 
  private:
   friend class JobGroup;

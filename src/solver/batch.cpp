@@ -59,8 +59,7 @@ BatchResult run_batch(const BatchOptions& options) {
     }
   }
 
-  SolvabilityOptions per_task = options.solve;
-  per_task.schedule = PipelineSchedule::kLadder;
+  const SolvabilityOptions& per_task = options.solve;
 
   BatchResult out;
   out.tasks.resize(selected.size());
@@ -133,8 +132,8 @@ BatchResult run_batch(const BatchOptions& options) {
   }
 
   // One self-scheduling loop per driver: `jobs - 1` on the executor plus the
-  // caller, so at most `jobs` pipelines run at once while idle workers still
-  // steal the searches' inner prefix jobs. Tasks are built inside the loop —
+  // caller, so at most `jobs` pipelines run at once. Tasks are built inside
+  // the loop —
   // each owns a fresh pool, so the builds are race-free — and each writes
   // only its own slot.
   std::atomic<std::size_t> next{0};

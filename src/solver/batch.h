@@ -8,15 +8,12 @@
 // most `jobs` whole-task pipelines are in flight at once. Each pipeline is
 // self-contained — every task is built fresh inside its loop iteration, so
 // it owns its vertex pool, and each engine run owns its SubdivisionLadder
-// and DeltaImageCache — while the decision-map searches *inside* a pipeline
-// still split into prefix jobs that idle workers steal. Outer and inner
-// parallelism share one pool; nothing is oversubscribed.
+// and DeltaImageCache. Whole tasks are the only unit of parallelism.
 //
-// Determinism. Per-task pipelines run under the kLadder schedule, whose
-// engine statuses are a pure function of the task and budget, and the
-// searches inside use canonical prefix accounting — so every field of every
-// report except wall-clock timings is identical for any `jobs` value and
-// any search thread count. Results come back in catalog order. Rendering
+// Determinism. Every pipeline runs the one sequential schedule, whose
+// report is a pure function of the task and budget — so every field of
+// every report except wall-clock timings is identical for any `jobs`
+// value. Results come back in catalog order. Rendering
 // the reports with ReportJsonOptions::redact_timings therefore yields
 // byte-identical files no matter how the batch was scheduled; that is the
 // contract the batch determinism test and the CI smoke pin.
@@ -24,8 +21,8 @@
 // Verdict store. With solve.cache_dir set, each pipeline consults the
 // content-addressed store (io/store.h) before running. Because engine node
 // counts are NOT invariant under chromatic isomorphism (exploration order
-// follows pool interning order), two isomorphic catalog entries racing to
-// publish one store entry would make reports depend on scheduling. The
+// follows pool interning order), two isomorphic catalog entries competing
+// to publish one store entry would make reports depend on scheduling. The
 // driver therefore runs a sequential fingerprint pre-pass and *dedups
 // within the batch*: a slot whose fingerprint matches an earlier slot never
 // runs — it replays that slot's finished report (renamed to its own task)
@@ -40,8 +37,7 @@
 namespace trichroma {
 
 struct BatchOptions {
-  /// Per-task pipeline budget. The schedule is forced to kLadder (see the
-  /// determinism note above); everything else is honored as-is.
+  /// Per-task pipeline budget.
   SolvabilityOptions solve;
   /// Concurrent whole-task pipeline jobs. 0 = hardware concurrency.
   int jobs = 1;

@@ -3,18 +3,17 @@
 //
 // Theorem 5.1's decision procedure is a portfolio of semi-decision engines —
 // sound impossibility checks (corner-assignment CSPs, the homological
-// boundary obstruction, the paper's Corollaries 5.5/5.6) racing bounded
-// possibility searches (the decision-map probe ladders). Each step is an
-// AnalysisEngine: a uniform unit with a declared budget, a cooperative
-// cancellation token, and a typed EngineReport (timings, nodes explored,
-// cache hit counts, radius reached, conclusive/inconclusive). The racing
-// scheduler in solver/pipeline.h composes the units; nothing here schedules.
+// boundary obstruction, the paper's Corollaries 5.5/5.6) paired with
+// bounded possibility searches (the decision-map probe ladders). Each step
+// is an AnalysisEngine: a uniform unit with a declared budget and a typed
+// EngineReport (timings, nodes explored, cache hit counts, radius reached,
+// conclusive/inconclusive). The pipeline in solver/pipeline.h runs the
+// units in one fixed order; nothing here schedules.
 //
-// Soundness is what makes racing safe: an impossibility engine concluding
-// proves every possibility engine would stay inconclusive (and vice versa),
-// so cancelling the other side never changes the merged verdict.
+// Soundness is what makes the merge well-defined: an impossibility engine
+// concluding proves every possibility engine would stay inconclusive (and
+// vice versa), so skipping the other side never changes the verdict.
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -23,7 +22,6 @@
 
 #include "core/characterization.h"
 #include "core/obstructions.h"
-#include "runtime/cancellation.h"
 #include "solver/map_search.h"
 #include "tasks/fingerprint.h"
 #include "tasks/task.h"
@@ -34,9 +32,6 @@ enum class Verdict { Solvable, Unsolvable, Unknown };
 
 const char* to_string(Verdict v);
 
-// CancellationToken moved to runtime/cancellation.h (the executor hands one
-// to every JobGroup); engines keep using it through this header.
-
 /// Which side of the semi-decision pair an engine argues. Exact engines
 /// (Proposition 5.4 for two processes) decide both directions; Support
 /// engines (characterization) produce inputs for others, never a verdict.
@@ -44,8 +39,9 @@ enum class EngineSide { Exact, Impossibility, Possibility, Support };
 
 /// How one engine run ended. Conclusive carries a verdict; Completed is the
 /// Support analogue ("ran to the end, no verdict by design"); Inconclusive
-/// means the engine ran but its condition did not decide the task.
-enum class EngineStatus { Conclusive, Inconclusive, Completed, Cancelled, Skipped };
+/// means the engine ran but its condition did not decide the task; Skipped
+/// means the schedule never started it.
+enum class EngineStatus { Conclusive, Inconclusive, Completed, Skipped };
 
 const char* to_string(EngineSide s);
 const char* to_string(EngineStatus s);
@@ -54,8 +50,6 @@ const char* to_string(EngineStatus s);
 struct EngineBudget {
   int max_radius = 2;
   std::size_t node_cap = 20'000'000;
-  /// Worker threads for decision-map searches inside the engine.
-  int threads = 1;
   bool reuse_subdivisions = true;
   bool reuse_images = true;
 };
@@ -93,9 +87,8 @@ struct EngineReport {
   /// distribution summed over every rung climbed — counts per base-2 log
   /// bucket (obs::Histogram::bucket_index boundaries, trimmed after the
   /// last non-zero bucket) with the matching sample count and value sum.
-  /// Pure functions of task + budget, identical at every thread count, so
-  /// they ride in the deterministic report slice (schema v9) and the
-  /// verdict record (v3).
+  /// Pure functions of task + budget, so they ride in the deterministic
+  /// report slice (schema v9) and the verdict record (v3).
   std::vector<std::uint64_t> domain_size_hist;
   std::uint64_t domain_size_count = 0;
   std::uint64_t domain_size_sum = 0;
@@ -107,9 +100,9 @@ struct EngineReport {
   double wall_ms = 0.0;
 };
 
-/// One uniform pipeline unit. `run` owns the boilerplate — timing, the
-/// upfront token check, name/side/precedence stamping — and delegates the
-/// actual analysis to `execute`.
+/// One uniform pipeline unit. `run` owns the boilerplate — timing and
+/// name/side/precedence stamping — and delegates the actual analysis to
+/// `execute`.
 class AnalysisEngine {
  public:
   virtual ~AnalysisEngine() = default;
@@ -118,14 +111,13 @@ class AnalysisEngine {
   virtual EngineSide side() const = 0;
   virtual int precedence() const = 0;
 
-  EngineReport run(const EngineBudget& budget, const CancellationToken& token);
+  EngineReport run(const EngineBudget& budget);
 
   /// A Skipped placeholder, for engines the schedule never started.
   EngineReport skipped() const;
 
  protected:
-  virtual void execute(const EngineBudget& budget, const CancellationToken& token,
-                       EngineReport& report) = 0;
+  virtual void execute(const EngineBudget& budget, EngineReport& report) = 0;
 };
 
 /// Fixed precedence numbers, mirroring the pre-refactor ladder order.
@@ -150,8 +142,7 @@ class TwoProcessEngine final : public AnalysisEngine {
   int precedence() const override { return engine_precedence::kTwoProcess; }
 
  protected:
-  void execute(const EngineBudget& budget, const CancellationToken& token,
-               EngineReport& report) override;
+  void execute(const EngineBudget& budget, EngineReport& report) override;
 
  private:
   const Task& task_;
@@ -170,15 +161,14 @@ class GenericConnectivityEngine final : public AnalysisEngine {
   }
 
  protected:
-  void execute(const EngineBudget& budget, const CancellationToken& token,
-               EngineReport& report) override;
+  void execute(const EngineBudget& budget, EngineReport& report) override;
 
  private:
   const Task& task_;
 };
 
 /// Support: canonicalize + LAP-split (T → T* → T'). Interns into the task's
-/// pool, so the scheduler runs it on a lane-private clone_task copy.
+/// pool, so the pipeline runs it on a clone_task copy.
 class CharacterizeEngine final : public AnalysisEngine {
  public:
   explicit CharacterizeEngine(const Task& task) : task_(task) {}
@@ -186,12 +176,11 @@ class CharacterizeEngine final : public AnalysisEngine {
   EngineSide side() const override { return EngineSide::Support; }
   int precedence() const override { return 1; }
 
-  /// The characterization, once run; null if skipped/cancelled.
+  /// The characterization, once run; null if skipped.
   std::shared_ptr<CharacterizationResult> result() const { return result_; }
 
  protected:
-  void execute(const EngineBudget& budget, const CancellationToken& token,
-               EngineReport& report) override;
+  void execute(const EngineBudget& budget, EngineReport& report) override;
 
  private:
   const Task& task_;
@@ -209,8 +198,7 @@ class Corollary55Engine final : public AnalysisEngine {
   const CorollaryResult& result() const { return result_; }
 
  protected:
-  void execute(const EngineBudget& budget, const CancellationToken& token,
-               EngineReport& report) override;
+  void execute(const EngineBudget& budget, EngineReport& report) override;
 
  private:
   const Task& tstar_;
@@ -228,8 +216,7 @@ class Corollary56Engine final : public AnalysisEngine {
   const CorollaryResult& result() const { return result_; }
 
  protected:
-  void execute(const EngineBudget& budget, const CancellationToken& token,
-               EngineReport& report) override;
+  void execute(const EngineBudget& budget, EngineReport& report) override;
 
  private:
   const Task& tstar_;
@@ -245,8 +232,7 @@ class PostSplitCspEngine final : public AnalysisEngine {
   int precedence() const override { return engine_precedence::kPostSplitCsp; }
 
  protected:
-  void execute(const EngineBudget& budget, const CancellationToken& token,
-               EngineReport& report) override;
+  void execute(const EngineBudget& budget, EngineReport& report) override;
 
  private:
   const Task& tp_;
@@ -261,8 +247,7 @@ class HomologyEngine final : public AnalysisEngine {
   int precedence() const override { return engine_precedence::kHomology; }
 
  protected:
-  void execute(const EngineBudget& budget, const CancellationToken& token,
-               EngineReport& report) override;
+  void execute(const EngineBudget& budget, EngineReport& report) override;
 
  private:
   const Task& tp_;
@@ -283,14 +268,14 @@ enum class ProbeKind {
 /// The possibility side: climbs the radius ladder r = 0..max_radius running
 /// one decision-map search per rung, sharing one SubdivisionLadder and one
 /// DeltaImageCache across rungs (both optional via the budget's reuse
-/// flags). Interns subdivision vertices into the task's pool, so a lane
-/// must own that pool exclusively while the probe runs.
+/// flags). Interns subdivision vertices into the task's pool, so nothing
+/// else may intern into that pool while the probe runs.
 /// Warm-start seed for a chromatic probe: serialized store artifacts from a
 /// stored twin of the task (io/store.h), plus the LIVE task's canonical
 /// labeling to translate them into its display identity. The engine
-/// materializes the seed inside `execute` — after any pipeline-level task
-/// cloning, so the pool reaches exactly the state a cold run would — and
-/// silently falls back to a cold build on any malformed body.
+/// materializes the seed inside `execute`, so the pool reaches exactly the
+/// state a cold run would, and silently falls back to a cold build on any
+/// malformed body.
 struct ProbeSeed {
   std::string ladder_body;   ///< serialized ladder levels ("" = none)
   std::string images_body;   ///< serialized Δ-image rows ("" = none)
@@ -339,8 +324,7 @@ class ProbeEngine final : public AnalysisEngine {
   int seeded_images() const { return seeded_images_; }
 
  protected:
-  void execute(const EngineBudget& budget, const CancellationToken& token,
-               EngineReport& report) override;
+  void execute(const EngineBudget& budget, EngineReport& report) override;
 
  private:
   const Task& task_;

@@ -24,7 +24,6 @@ EngineBudget budget_from(const SolvabilityOptions& options) {
   EngineBudget budget;
   budget.max_radius = options.max_radius;
   budget.node_cap = options.node_cap;
-  budget.threads = options.threads;
   budget.reuse_subdivisions = options.reuse_subdivisions;
   budget.reuse_images = options.reuse_images;
   return budget;
@@ -45,9 +44,9 @@ std::size_t facet_count(const SimplicialComplex& k) {
 }
 
 // Everything the impossibility lane produces. The lane owns a clone of the
-// task (pools are unsynchronized, and characterize/subdivision intern), so
-// its engines' vertex ids are only meaningful against the clone's pool —
-// which `characterization` keeps alive.
+// task (characterize interns into its pool), so its engines' vertex ids are
+// only meaningful against the clone's pool — which `characterization` keeps
+// alive.
 struct ImpossibilityLane {
   EngineReport characterize =
       make_skipped("characterize", EngineSide::Support, 1);
@@ -77,14 +76,10 @@ struct ImpossibilityLane {
 
 /// The n > 3 impossibility lane: just the generic pre-split CSP.
 void run_generic_chain(const Task& lane_task, const EngineBudget& budget,
-                       const CancellationToken& self, CancellationToken& other,
                        ImpossibilityLane& lane) {
   GenericConnectivityEngine engine(lane_task);
-  lane.generic = engine.run(budget, self);
-  if (lane.generic.status == EngineStatus::Conclusive) {
-    lane.concluded_impossible = true;
-    other.request_stop();
-  }
+  lane.generic = engine.run(budget);
+  lane.concluded_impossible = lane.generic.status == EngineStatus::Conclusive;
 }
 
 /// The three-process impossibility chain: characterize, then the obstruction
@@ -93,62 +88,45 @@ void run_generic_chain(const Task& lane_task, const EngineBudget& budget,
 /// mirroring the pre-refactor ladder's check order; the homology engine is
 /// skipped once the CSP already concluded, as the ladder returned early.
 void run_impossibility_chain(const Task& lane_task, const EngineBudget& budget,
-                             const CancellationToken& self,
-                             CancellationToken& other, ImpossibilityLane& lane) {
+                             ImpossibilityLane& lane) {
   CharacterizeEngine characterize(lane_task);
-  lane.characterize = characterize.run(budget, self);
+  lane.characterize = characterize.run(budget);
   if (lane.characterize.status != EngineStatus::Completed) return;
   lane.characterization = characterize.result();
   const Task& tstar = lane.characterization->canonical;
   const Task& tp = lane.characterization->link_connected;
 
   Corollary55Engine cor55(tstar);
-  lane.cor55 = cor55.run(budget, self);
+  lane.cor55 = cor55.run(budget);
   lane.cor55_result = cor55.result();
-  if (lane.cor55.status == EngineStatus::Conclusive) {
-    lane.concluded_impossible = true;
-    other.request_stop();
-  }
 
   Corollary56Engine cor56(tstar);
-  lane.cor56 = cor56.run(budget, self);
+  lane.cor56 = cor56.run(budget);
   lane.cor56_result = cor56.result();
-  if (lane.cor56.status == EngineStatus::Conclusive) {
-    lane.concluded_impossible = true;
-    other.request_stop();
-  }
 
   PostSplitCspEngine csp(tp);
-  lane.csp = csp.run(budget, self);
+  lane.csp = csp.run(budget);
   if (lane.csp.status == EngineStatus::Conclusive) {
     lane.concluded_impossible = true;
-    other.request_stop();
     lane.homology = HomologyEngine(tp).skipped();
     return;
   }
 
   HomologyEngine homology(tp);
-  lane.homology = homology.run(budget, self);
-  if (lane.homology.status == EngineStatus::Conclusive) {
-    lane.concluded_impossible = true;
-    other.request_stop();
-  }
+  lane.homology = homology.run(budget);
+  lane.concluded_impossible =
+      lane.cor55.status == EngineStatus::Conclusive ||
+      lane.cor56.status == EngineStatus::Conclusive ||
+      lane.homology.status == EngineStatus::Conclusive;
 }
 
 /// The color-agnostic probe on T' — the characterization's possibility
-/// engine. Runs on the impossibility lane's thread (and clone), overlapping
-/// the chromatic probe in racing mode. Its conclusion cancels nothing: the
-/// chromatic probe ranks higher and must finish to keep the merge
-/// deterministic.
-void run_agnostic_probe(const EngineBudget& budget, const CancellationToken& self,
-                        ImpossibilityLane& lane) {
-  if (lane.characterization == nullptr || lane.concluded_impossible ||
-      self.stop_requested()) {
-    return;
-  }
+/// engine, run on the lane's clone after the chromatic probe came up empty.
+void run_agnostic_probe(const EngineBudget& budget, ImpossibilityLane& lane) {
+  if (lane.characterization == nullptr) return;
   ProbeEngine probe(lane.characterization->link_connected,
                     ProbeKind::LinkConnectedAgnostic);
-  lane.agnostic = probe.run(budget, self);
+  lane.agnostic = probe.run(budget);
   if (lane.agnostic.status == EngineStatus::Conclusive) {
     lane.agnostic_radius = probe.found_radius();
   }
@@ -212,15 +190,6 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
   TRI_SPAN("pipeline/run");
   obs::MetricsRegistry::global().counter("pipeline.runs").add();
   const ExecutorStats exec_before = Executor::global().stats();
-  const auto ladder_counters = [] {
-    PipelineReport::LadderBuildStats s;
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::global();
-    s.parallel_chunks = reg.counter("ladder.parallel_chunks").value();
-    s.merge_ns = reg.counter("ladder.merge_ns").value();
-    s.stripe_contention = reg.counter("cache.delta.stripe_contention").value();
-    return s;
-  };
-  const PipelineReport::LadderBuildStats ladder_before = ladder_counters();
   const Clock::time_point start = Clock::now();
   PipelineResult out;
   PipelineReport& report = out.report;
@@ -242,20 +211,14 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
   report.input_facets = facet_count(task.input);
   report.output_facets = facet_count(task.output);
   report.options = options;
-  const int threads_resolved = resolve_search_threads(options.threads);
   const EngineBudget budget = budget_from(options);
 
-  // Resolve the lane schedule up front: it is part of the verdict-store key
-  // ("ladder" and "racing" reports differ in engine statuses by contract,
-  // so they must never alias one cache entry).
+  // The schedule is part of the verdict-store key: "exact" (two processes)
+  // and "ladder" reports have different engine lists.
   const bool characterize_route =
       options.use_characterization && task.num_processes == 3;
   const bool generic_route = task.num_processes > 3;
-  const bool race = task.num_processes != 2 && threads_resolved >= 2 &&
-                    options.schedule == PipelineSchedule::kAuto &&
-                    (characterize_route || generic_route);
-  const std::string schedule_str =
-      task.num_processes == 2 ? "exact" : (race ? "racing" : "ladder");
+  const std::string schedule_str = task.num_processes == 2 ? "exact" : "ladder";
 
   // Verdict-store consult. Fingerprinting failure (or any store anomaly)
   // degrades to cache-off — the cache is an accelerator, never a gate.
@@ -302,63 +265,59 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
       // max_radius, an Unsolvable verdict means the probe ladder was
       // skipped, and a chromatic-probe Solvable at radius k replays the
       // exact rungs 0..k any budget with max_radius >= k would climb.
-      // Racing-schedule records are excluded — their engine statuses are
-      // timing-dependent, so "identical to cold" is not even well-defined.
-      if (schedule_str != "racing") {
-        for (const io::SiblingVerdict& sibling : store->scan_siblings(fp)) {
-          if (sibling.opt_digest == opt_digest) continue;
-          if (sibling.report.schedule != schedule_str) continue;
-          const io::VerdictRecordBudget& b = sibling.budget;
-          if (b.max_radius == record_budget.max_radius ||
-              b.node_cap != record_budget.node_cap ||
-              b.use_characterization != record_budget.use_characterization ||
-              b.reuse_subdivisions != record_budget.reuse_subdivisions ||
-              b.reuse_images != record_budget.reuse_images) {
-            continue;
-          }
-          bool replay_safe = schedule_str == "exact" ||
-                             sibling.report.verdict == Verdict::Unsolvable;
-          if (!replay_safe && sibling.report.verdict == Verdict::Solvable) {
-            for (const EngineReport& e : sibling.report.engines) {
-              if (e.precedence == engine_precedence::kChromaticProbe &&
-                  e.status == EngineStatus::Conclusive &&
-                  e.witness_radius >= 0 &&
-                  e.witness_radius <= options.max_radius) {
-                replay_safe = true;
-                break;
-              }
+      for (const io::SiblingVerdict& sibling : store->scan_siblings(fp)) {
+        if (sibling.opt_digest == opt_digest) continue;
+        if (sibling.report.schedule != schedule_str) continue;
+        const io::VerdictRecordBudget& b = sibling.budget;
+        if (b.max_radius == record_budget.max_radius ||
+            b.node_cap != record_budget.node_cap ||
+            b.use_characterization != record_budget.use_characterization ||
+            b.reuse_subdivisions != record_budget.reuse_subdivisions ||
+            b.reuse_images != record_budget.reuse_images) {
+          continue;
+        }
+        bool replay_safe = schedule_str == "exact" ||
+                           sibling.report.verdict == Verdict::Unsolvable;
+        if (!replay_safe && sibling.report.verdict == Verdict::Solvable) {
+          for (const EngineReport& e : sibling.report.engines) {
+            if (e.precedence == engine_precedence::kChromaticProbe &&
+                e.status == EngineStatus::Conclusive &&
+                e.witness_radius >= 0 &&
+                e.witness_radius <= options.max_radius) {
+              replay_safe = true;
+              break;
             }
           }
-          if (!replay_safe) continue;
-          report.schedule = sibling.report.schedule;
-          report.verdict = sibling.report.verdict;
-          report.reason = sibling.report.reason;
-          report.radius = sibling.report.radius;
-          report.via_characterization = sibling.report.via_characterization;
-          report.characterization_computed =
-              sibling.report.characterization_computed;
-          report.engines = sibling.report.engines;
-          report.cache = "artifacts";
-          obs::MetricsRegistry::global().counter("cache.artifacts").add();
-          // Re-key under the live digest so the next identical run is an
-          // exact hit.
-          store->store_verdict(fp, opt_digest, report, record_budget);
-          report.cache_store_bytes = store->bytes_written();
-          obs::MetricsRegistry::global()
-              .counter("cache.store_bytes")
-              .add(store->bytes_written());
-          report.phase_consult_ms = ms_since(start);
-          report.total_wall_ms = ms_since(start);
-          record_latencies();
-          return out;
         }
+        if (!replay_safe) continue;
+        report.schedule = sibling.report.schedule;
+        report.verdict = sibling.report.verdict;
+        report.reason = sibling.report.reason;
+        report.radius = sibling.report.radius;
+        report.via_characterization = sibling.report.via_characterization;
+        report.characterization_computed =
+            sibling.report.characterization_computed;
+        report.engines = sibling.report.engines;
+        report.cache = "artifacts";
+        obs::MetricsRegistry::global().counter("cache.artifacts").add();
+        // Re-key under the live digest so the next identical run is an
+        // exact hit.
+        store->store_verdict(fp, opt_digest, report, record_budget);
+        report.cache_store_bytes = store->bytes_written();
+        obs::MetricsRegistry::global()
+            .counter("cache.store_bytes")
+            .add(store->bytes_written());
+        report.phase_consult_ms = ms_since(start);
+        report.total_wall_ms = ms_since(start);
+        record_latencies();
+        return out;
       }
 
       // Warm start, tier B: stored artifacts seed the chromatic probe. The
       // engine materializes them under the live identity inside execute()
-      // (after any lane cloning) and still climbs every rung, so verdict,
-      // reason, radius — and every counter — match a cold run; only the
-      // ladder/Δ-image construction work is saved.
+      // and still climbs every rung, so verdict, reason, radius — and every
+      // counter — match a cold run; only the ladder/Δ-image construction
+      // work is saved.
       if (schedule_str == "ladder") {
         auto seed = std::make_shared<ProbeSeed>();
         std::string body;
@@ -426,28 +385,20 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
 
   // Counter deltas are this run's share of the shared pool's telemetry;
   // max_queue_depth is a high-water mark and stays cumulative.
-  const auto sample_exec_stats = [&exec_before, &ladder_before,
-                                  &ladder_counters, &report] {
+  const auto sample_exec_stats = [&exec_before, &report] {
     const ExecutorStats now = Executor::global().stats();
     report.executor_stats.jobs_run = now.jobs_run - exec_before.jobs_run;
     report.executor_stats.steals = now.steals - exec_before.steals;
     report.executor_stats.injections = now.injections - exec_before.injections;
     report.executor_stats.max_queue_depth = now.max_queue_depth;
     report.executor_stats.help_runs = now.help_runs - exec_before.help_runs;
-    const PipelineReport::LadderBuildStats lnow = ladder_counters();
-    report.ladder_stats.parallel_chunks =
-        lnow.parallel_chunks - ladder_before.parallel_chunks;
-    report.ladder_stats.merge_ns = lnow.merge_ns - ladder_before.merge_ns;
-    report.ladder_stats.stripe_contention =
-        lnow.stripe_contention - ladder_before.stripe_contention;
   };
 
-  // Two processes: Proposition 5.4 decides exactly; nothing to race.
+  // Two processes: Proposition 5.4 decides exactly.
   if (task.num_processes == 2) {
     report.schedule = "exact";
     TwoProcessEngine engine(task);
-    CancellationToken token;
-    const EngineReport r = engine.run(budget, token);
+    const EngineReport r = engine.run(budget);
     report.engines.push_back(r);
     if (r.status == EngineStatus::Conclusive) {
       report.verdict = r.verdict;
@@ -469,64 +420,30 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
   report.schedule = schedule_str;
   obs::trace_instant("pipeline/schedule/", report.schedule.c_str());
 
-  CancellationToken possibility_token;    // stops the chromatic probe
-  CancellationToken impossibility_token;  // stops the T'/generic lane
-
   ProbeEngine chromatic(task, ProbeKind::DirectChromatic);
   if (probe_seed != nullptr) chromatic.set_seed(probe_seed);
   EngineReport chromatic_report = chromatic.skipped();
   ImpossibilityLane lane;
 
-  if (race) {
-    // The impossibility lane interns into its own clone of the task; the
-    // chromatic probe interns into the original pool from this thread.
-    // Soundness makes the cross-lane cancellation verdict-neutral. The lane
-    // is one executor job: a pool worker picks it up while this thread runs
-    // the probe, and group.wait() both joins it and rethrows anything the
-    // lane threw.
+  // The ladder: impossibility chain, chromatic probe, T'-agnostic probe,
+  // each side skipped once an earlier engine concluded. The lane interns
+  // into its own clone of the task; the chromatic probe interns into the
+  // original pool.
+  if (generic_route) {
     const Task lane_task = clone_task(task);
-    Executor& executor = Executor::global();
-    executor.ensure_workers(threads_resolved > 2 ? threads_resolved - 1 : 1);
-    JobGroup group(executor);
-    group.submit([&]() {
-      TRI_SPAN("pipeline/lane/impossibility");
-      if (generic_route) {
-        run_generic_chain(lane_task, budget, impossibility_token,
-                          possibility_token, lane);
-        return;
+    run_generic_chain(lane_task, budget, lane);
+    if (!lane.concluded_impossible) chromatic_report = chromatic.run(budget);
+  } else if (characterize_route) {
+    const Task lane_task = clone_task(task);
+    run_impossibility_chain(lane_task, budget, lane);
+    if (!lane.concluded_impossible) {
+      chromatic_report = chromatic.run(budget);
+      if (chromatic_report.status != EngineStatus::Conclusive) {
+        run_agnostic_probe(budget, lane);
       }
-      run_impossibility_chain(lane_task, budget, impossibility_token,
-                              possibility_token, lane);
-      run_agnostic_probe(budget, impossibility_token, lane);
-    });
-    chromatic_report = chromatic.run(budget, possibility_token);
-    if (chromatic_report.status == EngineStatus::Conclusive) {
-      impossibility_token.request_stop();
     }
-    group.wait();
   } else {
-    // Sequential ladder: impossibility chain, chromatic probe, T'-agnostic
-    // probe, each side skipped once an earlier engine concluded.
-    if (generic_route) {
-      const Task lane_task = clone_task(task);
-      run_generic_chain(lane_task, budget, impossibility_token,
-                        possibility_token, lane);
-      if (!lane.concluded_impossible) {
-        chromatic_report = chromatic.run(budget, possibility_token);
-      }
-    } else if (characterize_route) {
-      const Task lane_task = clone_task(task);
-      run_impossibility_chain(lane_task, budget, impossibility_token,
-                              possibility_token, lane);
-      if (!lane.concluded_impossible) {
-        chromatic_report = chromatic.run(budget, possibility_token);
-        if (chromatic_report.status != EngineStatus::Conclusive) {
-          run_agnostic_probe(budget, impossibility_token, lane);
-        }
-      }
-    } else {
-      chromatic_report = chromatic.run(budget, possibility_token);
-    }
+    chromatic_report = chromatic.run(budget);
   }
 
   // Canonical engine order for the report.
@@ -545,8 +462,7 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
     report.engines.push_back(std::move(chromatic_report));
   }
 
-  // Lane payload, independent of the merge outcome (mirrors the ladder,
-  // which always exposed the characterization and corollaries when run).
+  // Lane payload, independent of the merge outcome.
   out.characterization = lane.characterization;
   out.cor55 = lane.cor55_result;
   out.cor56 = lane.cor56_result;

@@ -36,12 +36,10 @@ SolvabilityResult decide_two_process(const Task& task,
   // task.num_processes claims (callers probe two-process subtasks).
   SolvabilityResult result;
   TwoProcessEngine engine(task);
-  CancellationToken token;
   EngineBudget budget;
   budget.max_radius = options.max_radius;
   budget.node_cap = options.node_cap;
-  budget.threads = options.threads;
-  const EngineReport report = engine.run(budget, token);
+  const EngineReport report = engine.run(budget);
   if (report.status == EngineStatus::Conclusive) {
     result.verdict = report.verdict;
     result.reason = report.reason;
@@ -66,23 +64,20 @@ SolvabilityResult decide_two_process(const Task& task,
 MapSearchResult colorless_probe(const Task& task,
                                 const SolvabilityOptions& options) {
   ProbeEngine probe(task, ProbeKind::ColorlessDirect);
-  CancellationToken token;
   EngineBudget budget;
   budget.max_radius = options.max_radius;
   budget.node_cap = options.node_cap;
-  budget.threads = options.threads;
   budget.reuse_subdivisions = options.reuse_subdivisions;
   budget.reuse_images = options.reuse_images;
-  probe.run(budget, token);
+  probe.run(budget);
   return probe.last();
 }
 
 MapSearchResult colorless_probe(const Task& task, int max_radius,
-                                std::size_t node_cap, int threads) {
+                                std::size_t node_cap) {
   SolvabilityOptions options;
   options.max_radius = max_radius;
   options.node_cap = node_cap;
-  options.threads = threads;
   return colorless_probe(task, options);
 }
 

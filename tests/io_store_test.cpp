@@ -131,18 +131,14 @@ TEST(Store, OptionsDigestSeparatesBudgets) {
   const std::string base = io::options_digest(a, "ladder");
   EXPECT_EQ(io::options_digest(a, "ladder"), base);
   EXPECT_EQ(base.size(), 16u);
-  EXPECT_NE(io::options_digest(a, "racing"), base);
+  EXPECT_NE(io::options_digest(a, "exact"), base);
   SolvabilityOptions b = a;
   b.max_radius = a.max_radius + 1;
   EXPECT_NE(io::options_digest(b, "ladder"), base);
   SolvabilityOptions c = a;
   c.node_cap = a.node_cap / 2;
   EXPECT_NE(io::options_digest(c, "ladder"), base);
-  // Thread count is explicitly NOT part of the key.
-  SolvabilityOptions d = a;
-  d.threads = 7;
-  EXPECT_EQ(io::options_digest(d, "ladder"), base);
-  // Neither is the store location itself.
+  // The store location is not part of the key.
   SolvabilityOptions e = a;
   e.cache_dir = "/somewhere/else";
   EXPECT_EQ(io::options_digest(e, "ladder"), base);
@@ -150,9 +146,7 @@ TEST(Store, OptionsDigestSeparatesBudgets) {
 
 TEST(Store, VerdictRecordRoundTripsTheDeterministicSlice) {
   const Task task = zoo::hourglass();
-  SolvabilityOptions options;
-  options.threads = 1;
-  const PipelineReport cold = run_pipeline(task, options).report;
+  const PipelineReport cold = run_pipeline(task, SolvabilityOptions{}).report;
   ASSERT_FALSE(cold.engines.empty());
 
   PipelineReport parsed;
@@ -177,6 +171,34 @@ TEST(Store, VerdictRecordVersionMismatchIsAMiss) {
   body.replace(pos, 26, "trichroma.verdict-record/9");
   PipelineReport parsed;
   EXPECT_FALSE(io::parse_verdict_record(body, &parsed));
+}
+
+TEST(Store, CancelledEngineStatusLoadsAsMiss) {
+  // Records written while a racing schedule existed could carry an engine
+  // status of "cancelled"; this version never produces one, so such a
+  // record — intact container, valid checksum — must read as a miss.
+  const Task task = zoo::hourglass();
+  const TaskFingerprint fp = fingerprint_of(task);
+  SolvabilityOptions options;
+  const std::string digest = io::options_digest(options, "ladder");
+  const PipelineReport cold = run_pipeline(task, options).report;
+  std::string body = io::serialize_verdict_record(cold);
+  const std::string skipped = ".status=skipped\n";
+  const auto pos = body.find(skipped);
+  ASSERT_NE(pos, std::string::npos);
+  body.replace(pos, skipped.size(), ".status=cancelled\n");
+  PipelineReport parsed;
+  EXPECT_FALSE(io::parse_verdict_record(body, &parsed));
+
+  io::VerdictStore store(fresh_dir("cancelled-status"));
+  ASSERT_TRUE(store.store_verdict(fp, digest, cold));
+  PipelineReport loaded;
+  ASSERT_TRUE(store.load_verdict(fp, digest, &loaded));
+  const std::string path = store.entry_dir(fp) + "/verdict-" + digest + ".rec";
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << io::wrap_record("verdict", body);
+  EXPECT_FALSE(store.load_verdict(fp, digest, &loaded));
+  EXPECT_TRUE(store.scan_siblings(fp).empty());
 }
 
 TEST(Store, StoreAndLoadVerdict) {

@@ -278,8 +278,8 @@ TEST(Metrics, ToJsonCarriesGaugesAndHistograms) {
 }
 
 TEST(Metrics, PrometheusNameSanitization) {
-  EXPECT_EQ(obs::prometheus_name("cache.delta.stripe_contention"),
-            "trichroma_cache_delta_stripe_contention");
+  EXPECT_EQ(obs::prometheus_name("cache.delta.image_vertices"),
+            "trichroma_cache_delta_image_vertices");
   EXPECT_EQ(obs::prometheus_name("ladder.level-facets"),
             "trichroma_ladder_level_facets");
   EXPECT_EQ(obs::prometheus_name("Executor.QueueDepth9"),
@@ -288,7 +288,7 @@ TEST(Metrics, PrometheusNameSanitization) {
 
 TEST(Metrics, ToPrometheusGolden) {
   obs::MetricsRegistry registry;
-  registry.counter("cache.delta.stripe_contention").add(7);
+  registry.counter("cache.edge_masks.misses").add(7);
   registry.gauge("executor.queue_depth").set(3);
   obs::Histogram& h = registry.histogram("search.csp.domain_size");
   h.record(1);
@@ -296,8 +296,8 @@ TEST(Metrics, ToPrometheusGolden) {
   h.record(3);
   h.record(300);  // bucket 9 (256 < 300 <= 512)
   const std::string expected =
-      "# TYPE trichroma_cache_delta_stripe_contention counter\n"
-      "trichroma_cache_delta_stripe_contention 7\n"
+      "# TYPE trichroma_cache_edge_masks_misses counter\n"
+      "trichroma_cache_edge_masks_misses 7\n"
       "# TYPE trichroma_executor_queue_depth gauge\n"
       "trichroma_executor_queue_depth 3\n"
       "# TYPE trichroma_search_csp_domain_size histogram\n"
@@ -414,7 +414,6 @@ TEST(Heartbeat, PeriodicWriterPublishesMidRunAndFlushesOnStop) {
 TEST(Heartbeat, BatchPublishesProgressOverSelectedTasks) {
   const std::string dir = fresh_dir("batch-hb");
   BatchOptions options;
-  options.solve.threads = 1;
   options.solve.max_radius = 1;
   options.jobs = 1;
   options.only = {"identity", "consensus_2"};
@@ -561,9 +560,7 @@ TEST(TraceStats, LiveCaptureSpanCountsMatchRegistryCounters) {
   // ladder builds.
   obs::MetricsRegistry::global().reset();
   obs::trace_start();
-  SolvabilityOptions options;
-  options.threads = 1;
-  run_pipeline(zoo::subdivision_task(1), options);
+  run_pipeline(zoo::subdivision_task(1), SolvabilityOptions{});
   obs::trace_stop();
   const obs::TraceStats s = obs::analyze_trace(obs::trace_to_json());
   ASSERT_EQ(obs::trace_dropped(), 0u);

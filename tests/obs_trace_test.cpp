@@ -1,9 +1,8 @@
 // The tracing + metrics subsystem (src/obs): disabled-by-default behavior,
 // Chrome trace-event export validity, the B/E pairing guarantee (spans drop
 // whole, never half), session restarts, overflow accounting, and the
-// metrics registry. The pipeline property test runs a real multi-threaded
-// solve under tracing, so the TSan job exercises the exporter/writer
-// handshake.
+// metrics registry. The pipeline property test runs a real two-job batch
+// under tracing, so the TSan job exercises the exporter/writer handshake.
 
 #include <cctype>
 #include <cstddef>
@@ -17,6 +16,7 @@
 #include "core/characterization.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "solver/batch.h"
 #include "solver/pipeline.h"
 #include "tasks/zoo.h"
 
@@ -219,23 +219,27 @@ TEST(Trace, SessionCollectsSpansInstantsAndCounters) {
 }
 
 TEST(Trace, TracedPipelineRunEmitsValidPairedEventsFromAllLayers) {
-  // The property test: a real racing pipeline solve under tracing. Workers
-  // write their own buffers; the export afterwards must be valid JSON and
-  // every span must pair up on its own thread.
+  // The property test: real pipeline solves under tracing, two at a time
+  // on the executor (batch --jobs 2). Workers write their own buffers; the
+  // export afterwards must be valid JSON and every span must pair up on its
+  // own thread. subdivision1 reaches the map search; hourglass is refuted
+  // by an obstruction first.
   obs::trace_start();
-  SolvabilityOptions options;
-  options.threads = 2;
-  const PipelineResult r = run_pipeline(zoo::hourglass(), options);
+  BatchOptions options;
+  options.jobs = 2;
+  options.only = {"hourglass", "subdivision1"};
+  const BatchResult r = run_batch(options);
   obs::trace_stop();
-  EXPECT_EQ(r.report.verdict, Verdict::Unsolvable);
+  ASSERT_EQ(r.tasks.size(), 2u);
+  EXPECT_EQ(r.tasks[0].report.verdict, Verdict::Solvable);
+  EXPECT_EQ(r.tasks[1].report.verdict, Verdict::Unsolvable);
 
   const std::string json = obs::trace_to_json();
   EXPECT_TRUE(JsonChecker(json).valid());
   const auto events = scrape_events(json);
   expect_spans_pair(events);
-  // All four instrumented layers speak up: pipeline lanes, map search,
-  // topology substrate, and the executor (job spans or queue counters —
-  // which one depends on who won the tickets).
+  // All four instrumented layers speak up: pipeline engines, map search,
+  // topology substrate, and the executor (job spans and queue counters).
   EXPECT_TRUE(has_event_with_prefix(events, "pipeline/"));
   EXPECT_TRUE(has_event_with_prefix(events, "map_search/"));
   EXPECT_TRUE(has_event_with_prefix(events, "topology/"));
@@ -327,9 +331,7 @@ TEST(Metrics, ToJsonIsValidAndCarriesTheSchema) {
 
 TEST(Metrics, GlobalRegistryAccumulatesSolverCounters) {
   obs::MetricsRegistry::global().reset();
-  SolvabilityOptions options;
-  options.threads = 1;
-  run_pipeline(zoo::hourglass(), options);
+  run_pipeline(zoo::hourglass(), SolvabilityOptions{});
   const auto snapshot = obs::MetricsRegistry::global().snapshot();
   std::map<std::string, std::uint64_t> counters(snapshot.begin(),
                                                 snapshot.end());

@@ -1,20 +1,13 @@
-// The racing pipeline's contracts: the verdict, reason, radius and
-// via_characterization are bit-identical across thread counts (pinned here
-// against the pre-refactor sequential ladder's golden table), and a
-// conclusive obstruction cancels in-flight probes instead of letting them
-// run to their node cap.
-
-#include <atomic>
-#include <chrono>
-#include <thread>
+// The pipeline's contracts: the verdict, reason, radius and
+// via_characterization of every catalog task are pinned against the
+// sequential ladder's golden table, default options run that one schedule
+// on every host, and the report lists every engine in canonical order.
 
 #include <gtest/gtest.h>
 
-#include "solver/map_search.h"
 #include "solver/pipeline.h"
 #include "solver/solvability.h"
 #include "tasks/zoo.h"
-#include "topology/subdivision.h"
 
 namespace trichroma {
 namespace {
@@ -102,32 +95,35 @@ const zoo::CatalogEntry& catalog_entry(const char* name) {
   return fallback;
 }
 
-class SchedulerDeterminism : public ::testing::TestWithParam<int> {};
-
-TEST_P(SchedulerDeterminism, VerdictAndReasonMatchGoldenTable) {
-  const int threads = GetParam();
+TEST(SchedulerDeterminism, VerdictAndReasonMatchGoldenTable) {
   ASSERT_EQ(golden_table().size(), zoo::catalog().size())
       << "catalog changed: regenerate the golden table";
   for (const GoldenRow& row : golden_table()) {
     const Task task = catalog_entry(row.name).build();
-    SolvabilityOptions options;
-    options.threads = threads;
-    const SolvabilityResult r = decide_solvability(task, options);
-    EXPECT_EQ(r.verdict, row.verdict) << row.name << " @ " << threads;
-    EXPECT_EQ(r.reason, row.reason) << row.name << " @ " << threads;
-    EXPECT_EQ(r.radius, row.radius) << row.name << " @ " << threads;
-    EXPECT_EQ(r.via_characterization, row.via_characterization)
-        << row.name << " @ " << threads;
+    const SolvabilityResult r = decide_solvability(task, SolvabilityOptions{});
+    EXPECT_EQ(r.verdict, row.verdict) << row.name;
+    EXPECT_EQ(r.reason, row.reason) << row.name;
+    EXPECT_EQ(r.radius, row.radius) << row.name;
+    EXPECT_EQ(r.via_characterization, row.via_characterization) << row.name;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Threads, SchedulerDeterminism,
-                         ::testing::Values(1, 2, 8));
+TEST(Pipeline, DefaultOptionsRunTheLadderSchedule) {
+  // Default options on any host: every three-process catalog task runs the
+  // one sequential schedule, so the characterization always completes and
+  // both warm-start tiers stay available.
+  for (const zoo::CatalogEntry& entry : zoo::catalog()) {
+    const Task task = entry.build();
+    if (task.num_processes != 3) continue;
+    const PipelineResult r = run_pipeline(task, SolvabilityOptions{});
+    EXPECT_EQ(r.report.schedule, "ladder") << entry.name;
+    EXPECT_TRUE(r.report.characterization_computed) << entry.name;
+    EXPECT_NE(r.characterization, nullptr) << entry.name;
+  }
+}
 
 TEST(Pipeline, ReportListsEveryEngineInCanonicalOrder) {
-  SolvabilityOptions options;
-  options.threads = 1;
-  const PipelineResult r = run_pipeline(zoo::hourglass(), options);
+  const PipelineResult r = run_pipeline(zoo::hourglass(), SolvabilityOptions{});
   const std::vector<const char*> expected = {
       "characterize",     "corollary-5.5",    "corollary-5.6",
       "post-split-connectivity-csp", "post-split-homology",
@@ -136,8 +132,7 @@ TEST(Pipeline, ReportListsEveryEngineInCanonicalOrder) {
   for (std::size_t i = 0; i < expected.size(); ++i) {
     EXPECT_EQ(r.report.engines[i].name, expected[i]);
   }
-  // Sequential ladder on an obstructed task: the CSP concludes, the probes
-  // never start.
+  // An obstructed task: the CSP concludes, the probes never start.
   EXPECT_EQ(r.report.engines[3].status, EngineStatus::Conclusive);
   EXPECT_EQ(r.report.engines[5].status, EngineStatus::Skipped);
   EXPECT_EQ(r.report.engines[6].status, EngineStatus::Skipped);
@@ -149,7 +144,6 @@ TEST(Pipeline, DomainOverflowSurfacesInTheUnknownReason) {
   // name the limit and the rung it hit, not masquerade as "no map found".
   const Task t = zoo::renaming(65);
   SolvabilityOptions options;
-  options.threads = 1;
   options.max_radius = 0;
   options.use_characterization = false;
   const PipelineResult r = run_pipeline(t, options);
@@ -166,63 +160,6 @@ TEST(Pipeline, DomainOverflowSurfacesInTheUnknownReason) {
     EXPECT_EQ(e.overflowed[0], "chromatic probe at radius 0");
     EXPECT_TRUE(e.capped.empty());
   }
-}
-
-// ---------------------------------------------------------------------------
-// Cancellation
-// ---------------------------------------------------------------------------
-
-TEST(Cancellation, PreTrippedTokenShortCircuitsAnEngine) {
-  const Task task = zoo::set_agreement_32();
-  ProbeEngine probe(task, ProbeKind::DirectChromatic);
-  CancellationToken token;
-  token.request_stop();
-  const EngineReport r = probe.run(EngineBudget{}, token);
-  EXPECT_EQ(r.status, EngineStatus::Cancelled);
-  EXPECT_EQ(r.nodes_explored, 0u);
-}
-
-TEST(Cancellation, MidSearchCancelAbortsFindDecisionMap) {
-  // set_agreement_32's chromatic search burns ~20M nodes before giving up;
-  // a cancel raised shortly after the search starts must abort it well
-  // before the cap, reporting cancelled (not exhausted).
-  const Task task = zoo::set_agreement_32();
-  const SubdividedComplex domain =
-      chromatic_subdivision(*task.pool, task.input, 2);
-  std::atomic<bool> cancel{false};
-  MapSearchOptions options;
-  options.node_cap = 20'000'000;
-  options.threads = 1;
-  options.cancel = &cancel;
-  std::thread trip([&]() {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    cancel.store(true);
-  });
-  const MapSearchResult r = find_decision_map(*task.pool, domain, task, options);
-  trip.join();
-  EXPECT_FALSE(r.found);
-  EXPECT_TRUE(r.cancelled);
-  EXPECT_FALSE(r.exhausted);
-  EXPECT_LT(r.nodes_explored, 20'000'000u);
-}
-
-TEST(Cancellation, ConclusiveObstructionHaltsInFlightProbes) {
-  // Racing mode on set_agreement_32: the homology obstruction concludes in
-  // ~1ms while the chromatic probe alone would take seconds to exhaust its
-  // 20M-node cap. The obstruction must cancel the probe mid-flight — same
-  // verdict as sequential, a small fraction of the probe-only node bill.
-  SolvabilityOptions options;
-  options.threads = 2;
-  const PipelineResult r = run_pipeline(zoo::set_agreement_32(), options);
-  EXPECT_EQ(r.report.verdict, Verdict::Unsolvable);
-  EXPECT_TRUE(r.report.via_characterization);
-  const EngineReport* probe = nullptr;
-  for (const EngineReport& e : r.report.engines) {
-    if (e.name == "chromatic-probe") probe = &e;
-  }
-  ASSERT_NE(probe, nullptr);
-  EXPECT_EQ(probe->status, EngineStatus::Cancelled);
-  EXPECT_LT(probe->nodes_explored, 20'000'000u);
 }
 
 }  // namespace

@@ -28,7 +28,7 @@
 // entries oldest-first, so a surviving verdict never loses its artifacts.
 //
 // `decide --trace out.json` records a Chrome trace-event timeline of the
-// run (spans from the executor, map searches, pipeline lanes and topology
+// run (spans from the pipeline engines, map searches, store and topology
 // substrate) — open it in chrome://tracing or https://ui.perfetto.dev.
 // `batch --trace-dir DIR` does the same for a whole batch, writing
 // DIR/trace.json plus the registry totals as DIR/metrics.json — the
@@ -110,13 +110,12 @@ int usage() {
                "  trace-stats <file> aggregate a Chrome trace: per-span count/total/\n"
                "                     p50/p99, critical path, worker utilization\n"
                "  version            print version, report schema and build type\n"
-               "options:\n"
-               "  --threads N        pipeline + search workers (default: hardware\n"
-               "                     concurrency; 1 = sequential ladder)\n"
+               "options (an unrecognized --option is an error):\n"
                "  --max-radius N     probe decision maps up to Ch^N (default: 2)\n"
                "  --node-cap N       search-node budget per probe (default: 20000000)\n"
-               "  --jobs N           (batch) concurrent whole-task pipelines\n"
-               "                     (default: 1; 0 = hardware concurrency)\n"
+               "  --jobs N           (batch) concurrent whole-task pipelines, the\n"
+               "                     only parallelism (default: 1; 0 = hardware\n"
+               "                     concurrency)\n"
                "  --tasks a,b,...    (batch) restrict to these catalog tasks\n"
                "  --cache-dir DIR    (decide/batch/cache) content-addressed verdict\n"
                "                     store: replay stored verdicts for tasks already\n"
@@ -128,7 +127,7 @@ int usage() {
                "  --report FILE      (decide/synth) write the JSON pipeline report\n"
                "  --report-dir DIR   (batch) write one JSON report per task\n"
                "                     (timings redacted: files are byte-identical\n"
-               "                     for every --jobs and --threads value)\n"
+               "                     for every --jobs value)\n"
                "  --trace FILE       (decide/synth) write a Chrome trace-event\n"
                "                     timeline (chrome://tracing, Perfetto)\n"
                "  --trace-dir DIR    (batch) write DIR/trace.json + DIR/metrics.json\n"
@@ -305,7 +304,7 @@ int cmd_batch(const CliOptions& cli) {
                 r.reason.c_str());
     if (!cli.report_dir.empty()) {
       // Redacted timings: the one schedule-dependent quantity is zeroed, so
-      // these files are byte-identical for every --jobs/--threads value.
+      // these files are byte-identical for every --jobs value.
       io::ReportJsonOptions json_options;
       json_options.redact_timings = true;
       io::write_text_file(cli.report_dir + "/" + t.name + ".json",
@@ -474,16 +473,7 @@ int main(int argc, char** argv) {
   CliOptions cli;
   std::vector<char*> args{argv[0]};
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      if (i + 1 >= argc) return usage();
-      long n = 0;
-      if (!parse_long(argv[++i], 0, 4096, &n)) {
-        std::fprintf(stderr, "error: --threads expects a non-negative integer, got '%s'\n",
-                     argv[i]);
-        return usage();
-      }
-      cli.solve.threads = static_cast<int>(n);
-    } else if (std::strcmp(argv[i], "--max-radius") == 0) {
+    if (std::strcmp(argv[i], "--max-radius") == 0) {
       if (i + 1 >= argc) return usage();
       long n = 0;
       if (!parse_long(argv[++i], 0, 32, &n)) {
@@ -571,6 +561,10 @@ int main(int argc, char** argv) {
         return usage();
       }
       cli.heartbeat_interval_s = s;
+    } else if (std::strncmp(argv[i], "--", 2) == 0) {
+      // A misspelled or retired option must not fall through to a default.
+      std::fprintf(stderr, "error: unknown option '%s'\n", argv[i]);
+      return usage();
     } else {
       args.push_back(argv[i]);
     }
