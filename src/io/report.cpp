@@ -139,7 +139,9 @@ void emit_engine(Builder& b, const EngineReport& e,
 // and deterministic rollups of the new per-engine distributions.
 // v10: the metrics "ladder" sub-object and the lane-race schedule value are
 // gone (the pipeline has one sequential schedule).
-const char* report_schema() { return "trichroma.pipeline-report/10"; }
+// v11: the metrics "executor" sub-object is gone (no pipeline runs on the
+// batch pool, so its per-run deltas were always zero).
+const char* report_schema() { return "trichroma.pipeline-report/11"; }
 
 std::string to_json(const PipelineReport& report,
                     const ReportJsonOptions& options) {
@@ -230,8 +232,7 @@ std::string to_json(const PipelineReport& report,
 
   // Schema v4 "metrics": rollups computed here from the per-engine fields —
   // they are sums of deterministic quantities, so they stay byte-identical
-  // at every --jobs value. The executor sub-object is the one scheduling-
-  // dependent part and is redacted with the wall clocks.
+  // at every --jobs value.
   std::size_t nodes_total = 0, img_hits = 0, img_misses = 0;
   std::size_t mask_hits = 0, mask_misses = 0;
   for (const EngineReport& e : report.engines) {
@@ -241,8 +242,6 @@ std::string to_json(const PipelineReport& report,
     mask_hits += e.edge_mask_hits;
     mask_misses += e.edge_mask_misses;
   }
-  const ExecutorStats exec =
-      options.redact_timings ? ExecutorStats{} : report.executor_stats;
   b.open("metrics", '{');
   b.field("nodes_explored_total", std::to_string(nodes_total));
   b.open("image_cache", '{');
@@ -252,13 +251,6 @@ std::string to_json(const PipelineReport& report,
   b.open("edge_masks", '{');
   b.field("hits", std::to_string(mask_hits));
   b.field("misses", std::to_string(mask_misses));
-  b.close('}');
-  b.open("executor", '{');
-  b.field("jobs_run", std::to_string(exec.jobs_run));
-  b.field("steals", std::to_string(exec.steals));
-  b.field("injections", std::to_string(exec.injections));
-  b.field("max_queue_depth", std::to_string(exec.max_queue_depth));
-  b.field("help_runs", std::to_string(exec.help_runs));
   b.close('}');
   // One line by construction (see the top-level "cache" field).
   b.field("cache", "{ \"hits\": " + std::to_string(report.cache_hits) +

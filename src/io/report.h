@@ -2,8 +2,10 @@
 // Structured JSON rendering of a pipeline run (solver/pipeline.h).
 //
 // The schema is versioned: every document carries
-//   "schema": "trichroma.pipeline-report/10"
-// and consumers should dispatch on it. Version 10 dropped the metrics
+//   "schema": "trichroma.pipeline-report/11"
+// and consumers should dispatch on it. Version 11 dropped the metrics
+// "executor" sub-object: pipelines never run on the batch pool, so the
+// per-run deltas were always zero. Version 10 dropped the metrics
 // "ladder" sub-object (parallel ladder-build telemetry, gone with the
 // parallel build) and the lane-race schedule value: the pipeline always
 // runs the sequential ladder, so every engine status is a pure function of
@@ -31,17 +33,16 @@
 // by a blocked wait()). Version 4 added the "metrics"
 // section: deterministic rollups over the engines (node and cache totals,
 // identical at every thread count) plus the shared executor's scheduling
-// telemetry, which IS timing-dependent and is therefore zeroed under
-// `redact_timings` exactly like the wall clocks. Version 3 dropped the
-// options' "threads"/"threads_resolved" fields (every solver quantity in
-// the report is thread-count independent since the canonical prefix
-// accounting; the worker count only produced spurious diffs) and added the
-// resolved lane "schedule". Version 2 was v1 + the explicit
+// telemetry (zeroed under `redact_timings`; dropped in v11). Version 3
+// dropped the options' "threads"/"threads_resolved" fields (every solver
+// quantity in the report is thread-count independent since the canonical
+// prefix accounting; the worker count only produced spurious diffs) and
+// added the resolved lane "schedule". Version 2 was v1 + the explicit
 // "characterization" marker — previously an absent payload was
 // indistinguishable from a lane that never ran:
 //
 //   {
-//     "schema": "trichroma.pipeline-report/10",
+//     "schema": "trichroma.pipeline-report/11",
 //     "task": { "name", "num_processes", "input_facets", "output_facets" },
 //     "options": { "max_radius", "node_cap", "use_characterization",
 //                  "reuse_subdivisions", "reuse_images" },
@@ -70,11 +71,6 @@
 //       "nodes_explored_total": int,   // sum over engines (deterministic)
 //       "image_cache": { "hits", "misses" },   // sums over engines
 //       "edge_masks": { "hits", "misses" },    // sums over engines
-//       "executor": { "jobs_run", "steals", "injections",
-//                     "max_queue_depth", "help_runs" },
-//           // scheduling telemetry: nondeterministic, zeroed under
-//           // redact_timings (deltas over the run; max_queue_depth is the
-//           // pool's cumulative high-water mark)
 //       "cache": { "hits", "misses", "store_bytes" }
 //           // verdict-store rollup, rendered on one line (see above)
 //     },

@@ -399,8 +399,8 @@ bool parse_verdict_record(const std::string& body, PipelineReport* report,
   }
   if (!r.ok) return false;
 
-  // Commit: record-carried fields only. Options, cache markers, wall
-  // clocks, and executor stats stay with the caller / stay zero.
+  // Commit: record-carried fields only. Options, cache markers and wall
+  // clocks stay with the caller / stay zero.
   report->task_name = std::move(out.task_name);
   report->num_processes = out.num_processes;
   report->input_facets = out.input_facets;
@@ -412,7 +412,6 @@ bool parse_verdict_record(const std::string& body, PipelineReport* report,
   report->via_characterization = out.via_characterization;
   report->characterization_computed = out.characterization_computed;
   report->total_wall_ms = 0.0;
-  report->executor_stats = ExecutorStats{};
   report->engines = std::move(out.engines);
   if (budget != nullptr) *budget = b;
   return true;

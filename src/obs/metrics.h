@@ -9,7 +9,7 @@
 // (see map_search.cpp's per-CSP domain histogram).
 //
 // Naming scheme: dotted lower-case paths, layer first —
-//   executor.*      the work-stealing pool (also exposed as ExecutorStats)
+//   executor.*      the batch pool (jobs run, queue depth, job latency)
 //   map_search.*    find_decision_map (searches, cap hits, overflows)
 //   search.*        search-shape distributions (CSP domain sizes, ...)
 //   pipeline.*      engine outcomes, run latencies

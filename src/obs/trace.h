@@ -2,8 +2,8 @@
 // Low-overhead tracing: per-thread event buffers with RAII spans, exported
 // as Chrome trace-event (catapult) JSON — load the file in chrome://tracing
 // or https://ui.perfetto.dev to see where a run spends its time across the
-// executor, the decision-map searches, the pipeline lanes and the topology
-// substrate.
+// batch pool, the pipeline engines, the decision-map searches and the
+// topology substrate.
 //
 // Cost model. Tracing is disabled by default and every instrumentation site
 // guards on ONE relaxed-ish atomic load: a TRI_SPAN with tracing off is a

@@ -269,7 +269,8 @@ TraceStats analyze_trace(const std::string& trace_json) {
 
   // Critical path of the slowest pipeline run: starting from that run's
   // interval, repeatedly descend into the longest span strictly contained
-  // in the current one (any tid — a run's cost may live in executor jobs).
+  // in the current one on the run's own tid. A pipeline runs on one thread;
+  // spans of other tids inside its interval are other tasks' work.
   std::size_t current = spans.size();
   for (std::size_t i = 0; i < spans.size(); ++i) {
     if (spans[i].name != "pipeline/run") continue;
@@ -286,6 +287,7 @@ TraceStats analyze_trace(const std::string& trace_json) {
     for (std::size_t i = 0; i < spans.size(); ++i) {
       if (used[i]) continue;
       const Span& s = spans[i];
+      if (s.tid != cur.tid) continue;
       if (s.start_us < cur.start_us || s.end_us > cur.end_us) continue;
       if (s.dur_us() >= cur.dur_us()) continue;  // identical-interval twin, not a child
       if (best == spans.size() || s.dur_us() > spans[best].dur_us()) best = i;

@@ -59,7 +59,7 @@ struct TraceStats {
   std::vector<SpanAggregate> spans;  ///< sorted by total_ms descending
   /// Critical path of the slowest "pipeline/run" span (empty when the trace
   /// has none): the run itself first, then its longest contained span, then
-  /// that span's longest contained span, and so on across all tids.
+  /// that span's longest contained span, and so on, all on the run's tid.
   std::vector<CriticalPathStep> critical_path;
   std::vector<WorkerUtilization> workers;  ///< tids with executor/job spans
   /// The embedded registry snapshot ("metrics" instant args), when present.

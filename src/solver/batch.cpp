@@ -1,5 +1,6 @@
 #include "solver/batch.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -24,6 +25,31 @@ namespace {
 std::size_t top_facet_count(const SimplicialComplex& k) {
   const int top = k.dimension();
   return top < 0 ? 0 : k.count(top);
+}
+
+/// Calls `body(i)` for every slot i < n, at most `jobs` at once: the caller
+/// and up to `jobs - 1` pool jobs each run a loop that claims the next
+/// unclaimed slot, so a slow slot never holds up the others.
+template <typename Body>
+void for_each_slot(int jobs, std::size_t n, const Body& body) {
+  std::atomic<std::size_t> next{0};
+  const auto loop = [&] {
+    for (std::size_t i; (i = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      body(i);
+    }
+  };
+  if (jobs <= 1 || n <= 1) {
+    loop();
+    return;
+  }
+  Executor& executor = Executor::global();
+  executor.ensure_workers(jobs - 1);
+  JobGroup group(executor);
+  const std::size_t extra =
+      std::min<std::size_t>(static_cast<std::size_t>(jobs) - 1, n - 1);
+  for (std::size_t w = 0; w < extra; ++w) group.submit(loop);
+  loop();
+  group.wait();
 }
 
 }  // namespace
@@ -68,7 +94,7 @@ BatchResult run_batch(const BatchOptions& options) {
   // Cache mode: fingerprint pre-pass for intra-batch dedup (see the header
   // comment — isomorphic twins must not race to publish one store entry).
   // Each slot builds its own task (fresh pool, race-free) and fills only its
-  // own row, so the builds fan out as executor jobs; the first_slot dedup
+  // own row, so the builds fan out as pool jobs; the first_slot dedup
   // stays a sequential slot-order pass afterwards, which is what keeps
   // `dup_of` (and therefore every replayed report) independent of the job
   // count. A slot that fails to fingerprint simply runs cold like everyone
@@ -80,33 +106,16 @@ BatchResult run_batch(const BatchOptions& options) {
   if (!per_task.cache_dir.empty()) {
     TRI_SPAN("batch/fingerprint-prepass");
     std::vector<std::string> fp_hex(selected.size());
-    std::atomic<std::size_t> fp_next{0};
-    const auto fingerprint_slots = [&] {
-      for (;;) {
-        const std::size_t i = fp_next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= selected.size()) return;
-        try {
-          const Task task = selected[i]->build();
-          task_names[i] = task.name;
-          in_facets[i] = top_facet_count(task.input);
-          out_facets[i] = top_facet_count(task.output);
-          fp_hex[i] = fingerprint_of(task).hex();
-        } catch (...) {
-        }
+    for_each_slot(jobs, selected.size(), [&](std::size_t i) {
+      try {
+        const Task task = selected[i]->build();
+        task_names[i] = task.name;
+        in_facets[i] = top_facet_count(task.input);
+        out_facets[i] = top_facet_count(task.output);
+        fp_hex[i] = fingerprint_of(task).hex();
+      } catch (...) {
       }
-    };
-    if (jobs > 1 && selected.size() > 1) {
-      Executor& executor = Executor::global();
-      executor.ensure_workers(jobs - 1);
-      JobGroup group(executor);
-      const std::size_t extra = std::min<std::size_t>(
-          static_cast<std::size_t>(jobs) - 1, selected.size() - 1);
-      for (std::size_t w = 0; w < extra; ++w) group.submit(fingerprint_slots);
-      fingerprint_slots();
-      group.wait();
-    } else {
-      fingerprint_slots();
-    }
+    });
     std::unordered_map<std::string, std::size_t> first_slot;
     for (std::size_t i = 0; i < selected.size(); ++i) {
       if (fp_hex[i].empty()) continue;  // build threw: no dedup for this slot
@@ -131,43 +140,23 @@ BatchResult run_batch(const BatchOptions& options) {
         });
   }
 
-  // One self-scheduling loop per driver: `jobs - 1` on the executor plus the
-  // caller, so at most `jobs` pipelines run at once. Tasks are built inside
-  // the loop —
+  // At most `jobs` pipelines run at once. Tasks are built inside the loop —
   // each owns a fresh pool, so the builds are race-free — and each writes
   // only its own slot.
-  std::atomic<std::size_t> next{0};
-  auto drive = [&selected, &per_task, &out, &next, &dup_of, &completed] {
-    static obs::Counter& tasks_done =
-        obs::MetricsRegistry::global().counter("batch.tasks");
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= selected.size()) return;
-      if (dup_of[i] >= 0) {  // replayed from its twin after the join
-        completed.fetch_add(1, std::memory_order_relaxed);
-        continue;
-      }
-      TRI_SPAN("batch/", selected[i]->name);
-      const Task task = selected[i]->build();
-      out.tasks[i].name = selected[i]->name;
-      out.tasks[i].report = run_pipeline(task, per_task).report;
-      tasks_done.add();
+  static obs::Counter& tasks_done =
+      obs::MetricsRegistry::global().counter("batch.tasks");
+  for_each_slot(jobs, selected.size(), [&](std::size_t i) {
+    if (dup_of[i] >= 0) {  // replayed from its twin after the join
       completed.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
-  };
-  if (jobs > 1 && selected.size() > 1) {
-    Executor& executor = Executor::global();
-    executor.ensure_workers(jobs - 1);
-    JobGroup group(executor);
-    const std::size_t extra =
-        std::min<std::size_t>(static_cast<std::size_t>(jobs) - 1,
-                              selected.size() - 1);
-    for (std::size_t w = 0; w < extra; ++w) group.submit(drive);
-    drive();
-    group.wait();
-  } else {
-    drive();
-  }
+    TRI_SPAN("batch/", selected[i]->name);
+    const Task task = selected[i]->build();
+    out.tasks[i].name = selected[i]->name;
+    out.tasks[i].report = run_pipeline(task, per_task).report;
+    tasks_done.add();
+    completed.fetch_add(1, std::memory_order_relaxed);
+  });
 
   // Isomorphic-twin replays: the dedup pre-pass runs in slot order, so a
   // dup's twin always has a lower index and its report is final here. The

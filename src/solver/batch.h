@@ -1,10 +1,10 @@
 #pragma once
 // The parallel batch driver: run the whole zoo catalog (or a named subset)
 // through the solvability pipeline, `jobs` tasks at a time, on the shared
-// work-stealing executor.
+// batch pool (runtime/executor.h).
 //
 // Concurrency model. The driver submits `jobs - 1` task-loop jobs to the
-// executor and runs one loop itself (the caller is always a worker), so at
+// pool and runs one loop itself (the caller is always a worker), so at
 // most `jobs` whole-task pipelines are in flight at once. Each pipeline is
 // self-contained — every task is built fresh inside its loop iteration, so
 // it owns its vertex pool, and each engine run owns its SubdivisionLadder

@@ -7,7 +7,6 @@
 #include "io/store.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/executor.h"
 #include "tasks/fingerprint.h"
 
 namespace trichroma {
@@ -189,7 +188,6 @@ void merge_unknown_reason(const SolvabilityOptions& options,
 PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options) {
   TRI_SPAN("pipeline/run");
   obs::MetricsRegistry::global().counter("pipeline.runs").add();
-  const ExecutorStats exec_before = Executor::global().stats();
   const Clock::time_point start = Clock::now();
   PipelineResult out;
   PipelineReport& report = out.report;
@@ -383,17 +381,6 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
         .add(store->bytes_written());
   };
 
-  // Counter deltas are this run's share of the shared pool's telemetry;
-  // max_queue_depth is a high-water mark and stays cumulative.
-  const auto sample_exec_stats = [&exec_before, &report] {
-    const ExecutorStats now = Executor::global().stats();
-    report.executor_stats.jobs_run = now.jobs_run - exec_before.jobs_run;
-    report.executor_stats.steals = now.steals - exec_before.steals;
-    report.executor_stats.injections = now.injections - exec_before.injections;
-    report.executor_stats.max_queue_depth = now.max_queue_depth;
-    report.executor_stats.help_runs = now.help_runs - exec_before.help_runs;
-  };
-
   // Two processes: Proposition 5.4 decides exactly.
   if (task.num_processes == 2) {
     report.schedule = "exact";
@@ -412,7 +399,6 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
     publish(nullptr);
     report.phase_publish_ms = ms_since(publish_start);
     report.total_wall_ms = ms_since(start);
-    sample_exec_stats();
     record_latencies();
     return out;
   }
@@ -505,7 +491,6 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
   publish(&chromatic);
   report.phase_publish_ms = ms_since(publish_start);
   report.total_wall_ms = ms_since(start);
-  sample_exec_stats();
   record_latencies();
   return out;
 }

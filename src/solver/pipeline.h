@@ -12,8 +12,8 @@
 //
 // Determinism. Engines are sound, so possibility and impossibility can
 // never both conclude; a fixed precedence order selects the reported
-// verdict and reason. Every field of the report except wall clocks and the
-// shared executor's telemetry is a pure function of the task and budget.
+// verdict and reason. Every field of the report except wall clocks is a
+// pure function of the task and budget.
 // The only parallelism is whole tasks side by side (batch `--jobs`,
 // solver/batch.h).
 
@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "runtime/executor.h"
 #include "solver/engine.h"
 #include "tasks/task.h"
 
@@ -52,7 +51,7 @@ struct SolvabilityOptions {
 };
 
 /// The whole pipeline run, serializable via io::to_json (schema
-/// trichroma.pipeline-report/10).
+/// trichroma.pipeline-report/11).
 struct PipelineReport {
   std::string task_name;
   int num_processes = 3;
@@ -97,11 +96,6 @@ struct PipelineReport {
   int cache_seeded_levels = 0;
   /// Bytes published to the store by this run (record + artifacts).
   std::uint64_t cache_store_bytes = 0;
-  /// Shared-pool scheduling telemetry, as a delta over this run (global
-  /// stats sampled at entry and exit). Nondeterministic — concurrent batch
-  /// jobs' tickets land in the same delta — so reports zero it under
-  /// redact_timings, like wall clocks.
-  ExecutorStats executor_stats;
   /// One entry per schedulable engine, in canonical pipeline order (engines
   /// the schedule never started appear with status "skipped").
   std::vector<EngineReport> engines;

@@ -87,7 +87,8 @@ TEST(Integration, SplittingPreservesSolvabilityOnRandomTasks) {
     params.seed = seed;
     params.num_input_facets = 1 + static_cast<int>(seed % 3);
     const Task t = zoo::random_task(params);
-    const SolvabilityOptions options{.max_radius = 1};
+    SolvabilityOptions options;
+    options.max_radius = 1;
     const SolvabilityResult direct = decide_solvability(t, options);
     const CharacterizationResult c = characterize(t);
     const ConnectivityCsp csp = connectivity_csp(c.link_connected);

@@ -40,7 +40,7 @@ TEST(Report, SchemaFieldsPresentForEveryVerdictShape) {
     SolvabilityOptions options;
     const PipelineResult r = run_pipeline(build(), options);
     const std::string json = io::to_json(r.report);
-    EXPECT_NE(json.find("\"schema\": \"trichroma.pipeline-report/10\""),
+    EXPECT_NE(json.find("\"schema\": \"trichroma.pipeline-report/11\""),
               std::string::npos);
     EXPECT_NE(json.find("\"verdict\":"), std::string::npos);
     // Schema v6/v7: the verdict-store marker and rollup, each on one line so
@@ -51,12 +51,12 @@ TEST(Report, SchemaFieldsPresentForEveryVerdictShape) {
               std::string::npos);
     EXPECT_NE(json.find("\"engines\": ["), std::string::npos);
     EXPECT_NE(json.find("\"characterization\": "), std::string::npos);
-    // Schema v4: the metrics section with its deterministic rollups and the
-    // executor telemetry sub-object.
+    // Schema v4: the metrics section with its deterministic rollups. Schema
+    // v11 dropped its executor telemetry sub-object.
     EXPECT_NE(json.find("\"metrics\": {"), std::string::npos);
     EXPECT_NE(json.find("\"nodes_explored_total\":"), std::string::npos);
-    EXPECT_NE(json.find("\"executor\": {"), std::string::npos);
-    EXPECT_NE(json.find("\"max_queue_depth\":"), std::string::npos);
+    EXPECT_EQ(json.find("\"executor\": {"), std::string::npos);
+    EXPECT_EQ(json.find("\"max_queue_depth\":"), std::string::npos);
     // Schema v10 dropped v8's parallel ladder-build sub-object.
     EXPECT_EQ(json.find("\"ladder\": {"), std::string::npos);
     EXPECT_EQ(json.find("\"parallel_chunks\":"), std::string::npos);
@@ -116,27 +116,6 @@ TEST(Report, RedactTimingsZeroesEveryWallClock) {
     EXPECT_EQ(text.substr(pos, std::string("wall_ms\": 0.000").size()),
               "wall_ms\": 0.000");
   }
-}
-
-TEST(Report, RedactTimingsZeroesExecutorTelemetry) {
-  // The executor sub-object is scheduling telemetry — as nondeterministic
-  // as a wall clock — so redaction must zero it for byte-stable reports,
-  // while the unredacted rendering keeps the sampled values.
-  PipelineReport report;
-  report.executor_stats = ExecutorStats{12, 3, 4, 7, 5};
-  io::ReportJsonOptions redacted;
-  redacted.redact_timings = true;
-  const std::string text = io::to_json(report, redacted);
-  EXPECT_NE(text.find("\"jobs_run\": 0"), std::string::npos);
-  EXPECT_NE(text.find("\"steals\": 0"), std::string::npos);
-  EXPECT_NE(text.find("\"max_queue_depth\": 0"), std::string::npos);
-  EXPECT_NE(text.find("\"help_runs\": 0"), std::string::npos);
-  const std::string raw = io::to_json(report);
-  EXPECT_NE(raw.find("\"jobs_run\": 12"), std::string::npos);
-  EXPECT_NE(raw.find("\"steals\": 3"), std::string::npos);
-  EXPECT_NE(raw.find("\"injections\": 4"), std::string::npos);
-  EXPECT_NE(raw.find("\"max_queue_depth\": 7"), std::string::npos);
-  EXPECT_NE(raw.find("\"help_runs\": 5"), std::string::npos);
 }
 
 TEST(Report, JsonEscapeHandlesControlAndQuoteCharacters) {

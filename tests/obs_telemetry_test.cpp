@@ -176,7 +176,9 @@ TEST(Histogram, BucketBoundariesAreBase2) {
        std::vector<std::uint64_t>{0, 1, 2, 3, 7, 63, 64, 65, 1000, 4096}) {
     const std::size_t i = H::bucket_index(v);
     EXPECT_LE(v, H::bucket_upper_bound(i)) << v;
-    if (i > 0) EXPECT_GT(v, H::bucket_upper_bound(i - 1)) << v;
+    if (i > 0) {
+      EXPECT_GT(v, H::bucket_upper_bound(i - 1)) << v;
+    }
   }
 }
 
@@ -523,13 +525,12 @@ TEST(TraceStats, MiniTraceAggregatesPinned) {
   EXPECT_NEAR(s.spans[2].self_ms, 4.0, 1e-9);
   EXPECT_NEAR(s.spans[3].self_ms, 1.0, 1e-9);
 
-  // Critical path descends across tids: run -> its longest contained span
-  // -> the executor job nested inside THAT.
-  ASSERT_EQ(s.critical_path.size(), 3u);
+  // Critical path stays on the run's tid: run -> its longest contained
+  // span. The executor jobs inside the prefix's interval ran on tid 2.
+  ASSERT_EQ(s.critical_path.size(), 2u);
   EXPECT_EQ(s.critical_path[0].name, "pipeline/run");
   EXPECT_EQ(s.critical_path[1].name, "map_search/prefix");
-  EXPECT_EQ(s.critical_path[2].name, "executor/job");
-  EXPECT_NEAR(s.critical_path[2].dur_ms, 2.0, 1e-9);
+  EXPECT_NEAR(s.critical_path[1].dur_ms, 6.0, 1e-9);
 
   ASSERT_EQ(s.workers.size(), 1u);
   EXPECT_EQ(s.workers[0].tid, 2u);
@@ -546,6 +547,30 @@ TEST(TraceStats, MiniTraceAggregatesPinned) {
   EXPECT_NE(text.find("self_ms"), std::string::npos);
   EXPECT_NE(text.find("critical path"), std::string::npos);
   EXPECT_NE(text.find("executor workers:"), std::string::npos);
+}
+
+TEST(TraceStats, CriticalPathStaysOnTheSlowestRunsThread) {
+  // Two batch jobs on two threads: the 10 ms run on tid 1 and a 6 ms run on
+  // tid 2 that lies inside its interval. The slow run's path must not
+  // descend into the other thread's run.
+  const std::string trace = R"({ "traceEvents": [
+    { "name": "engine/characterize", "ph": "B", "ts": 1500, "pid": 1, "tid": 1 },
+    { "name": "engine/characterize", "ph": "E", "ts": 4500, "pid": 1, "tid": 1 },
+    { "name": "core/canonicalize", "ph": "B", "ts": 2000, "pid": 1, "tid": 1 },
+    { "name": "core/canonicalize", "ph": "E", "ts": 3000, "pid": 1, "tid": 1 },
+    { "name": "pipeline/run", "ph": "B", "ts": 1000, "pid": 1, "tid": 1 },
+    { "name": "pipeline/run", "ph": "E", "ts": 11000, "pid": 1, "tid": 1 },
+    { "name": "engine/chromatic-probe", "ph": "B", "ts": 3000, "pid": 1, "tid": 2 },
+    { "name": "engine/chromatic-probe", "ph": "E", "ts": 8000, "pid": 1, "tid": 2 },
+    { "name": "pipeline/run", "ph": "B", "ts": 2500, "pid": 1, "tid": 2 },
+    { "name": "pipeline/run", "ph": "E", "ts": 8500, "pid": 1, "tid": 2 }
+  ] })";
+  const obs::TraceStats s = obs::analyze_trace(trace);
+  ASSERT_EQ(s.critical_path.size(), 3u);
+  EXPECT_EQ(s.critical_path[0].name, "pipeline/run");
+  EXPECT_NEAR(s.critical_path[0].dur_ms, 10.0, 1e-9);
+  EXPECT_EQ(s.critical_path[1].name, "engine/characterize");
+  EXPECT_EQ(s.critical_path[2].name, "core/canonicalize");
 }
 
 TEST(TraceStats, RejectsDocumentsWithoutTraceEvents) {

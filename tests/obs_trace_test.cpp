@@ -239,7 +239,7 @@ TEST(Trace, TracedPipelineRunEmitsValidPairedEventsFromAllLayers) {
   const auto events = scrape_events(json);
   expect_spans_pair(events);
   // All four instrumented layers speak up: pipeline engines, map search,
-  // topology substrate, and the executor (job spans and queue counters).
+  // topology substrate, and the batch pool (job spans).
   EXPECT_TRUE(has_event_with_prefix(events, "pipeline/"));
   EXPECT_TRUE(has_event_with_prefix(events, "map_search/"));
   EXPECT_TRUE(has_event_with_prefix(events, "topology/"));
