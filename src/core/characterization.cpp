@@ -2,7 +2,6 @@
 
 #include "obs/trace.h"
 #include "tasks/canonical.h"
-#include "topology/graph.h"
 
 namespace trichroma {
 
@@ -12,14 +11,16 @@ CharacterizationResult characterize(const Task& task) {
     TRI_SPAN("core/canonicalize");
     result.canonical = canonicalize(task);
   }
-  result.output_components_before = component_count(result.canonical.output);
   result.output_betti_before = betti_numbers(result.canonical.output);
+  result.output_components_before =
+      static_cast<std::size_t>(result.output_betti_before.b0);
 
   LinkConnectedResult lc = make_link_connected(result.canonical);
   result.link_connected = std::move(lc.task);
   result.splits = std::move(lc.history);
-  result.output_components_after = component_count(result.link_connected.output);
   result.output_betti_after = betti_numbers(result.link_connected.output);
+  result.output_components_after =
+      static_cast<std::size_t>(result.output_betti_after.b0);
   return result;
 }
 

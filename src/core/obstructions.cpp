@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <tuple>
 #include <functional>
 #include <map>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "core/lap.h"
+#include "obs/metrics.h"
 #include "topology/graph.h"
 #include "topology/homology.h"
 
@@ -340,6 +342,12 @@ ConnectivityCsp connectivity_csp(const Task& task, std::size_t node_cap) {
 HomologyObstruction homology_boundary_check(const Task& task,
                                             const std::vector<long long>& primes,
                                             std::size_t node_cap) {
+  // Leaves: corner assignments handed to the boundary-loop check. Columns:
+  // the ∂2, generator and loop columns those checks reduce, over all primes.
+  static obs::Counter& leaves_counter =
+      obs::MetricsRegistry::global().counter("core.homology.leaves");
+  static obs::Counter& columns_counter =
+      obs::MetricsRegistry::global().counter("core.homology.columns");
   HomologyObstruction result;
   CornerSearch search(task);
   search.node_cap = node_cap;
@@ -387,7 +395,9 @@ HomologyObstruction homology_boundary_check(const Task& task,
   }
 
   std::string last_failure;
+  std::uint64_t leaves = 0, columns = 0;
   const bool found = search.search([&](const std::vector<VertexId>& assign) {
+    ++leaves;
     for (const FacetInfo& info : facet_infos) {
       // Boundary loop: corner-to-corner shortest paths inside each edge
       // image, concatenated head-to-tail (any path works; other choices
@@ -406,8 +416,10 @@ HomologyObstruction homology_boundary_check(const Task& task,
                        " does not close into a cycle";
         return false;
       }
+      if (loop.empty()) continue;
       for (const long long p : primes) {
-        if (!loop.empty() && !bounds_modulo_p(info.image, loop, info.generators, p)) {
+        columns += info.image.count(2) + info.generators.size() + 1;
+        if (!bounds_modulo_p(info.image, loop, info.generators, p)) {
           last_failure = "boundary loop of facet " + info.facet.to_string(pool) +
                          " never bounds over GF(" + std::to_string(p) + ")";
           return false;
@@ -416,6 +428,8 @@ HomologyObstruction homology_boundary_check(const Task& task,
     }
     return true;
   });
+  leaves_counter.add(leaves);
+  columns_counter.add(columns);
   result.feasible = found;
   result.exhausted = search.exhausted;
   result.nodes_explored = search.nodes_explored;

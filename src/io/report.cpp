@@ -11,7 +11,12 @@ namespace trichroma::io {
 
 namespace {
 
-std::string quote(const std::string& s) { return "\"" + json_escape(s) + "\""; }
+std::string quote(const std::string& s) {
+  std::string out = "\"";
+  out += json_escape(s);
+  out += '"';
+  return out;
+}
 
 std::string num(double value) {
   char buf[64];

@@ -153,20 +153,26 @@ namespace {
 /// verbatim; anything else falls back to the raw vertex id.
 std::string vertex_token(const VertexPool& pool, VertexId v) {
   const ValuePool& vals = pool.values();
-  std::string out = "P" + std::to_string(pool.color(v)) + ":";
+  std::string out = "P";
+  out += std::to_string(pool.color(v));
+  out += ':';
   const ValueId val = pool.value(v);
   if (vals.kind(val) == ValuePool::Kind::Tuple) {
     const auto elems = vals.elements(val);
     if (elems.size() == 2 && vals.kind(elems[0]) == ValuePool::Kind::Str) {
       if (vals.kind(elems[1]) == ValuePool::Kind::Int) {
-        return out + std::to_string(vals.as_int(elems[1]));
+        out += std::to_string(vals.as_int(elems[1]));
+        return out;
       }
       if (vals.kind(elems[1]) == ValuePool::Kind::Str) {
-        return out + vals.as_string(elems[1]);
+        out += vals.as_string(elems[1]);
+        return out;
       }
     }
   }
-  return out + "v" + std::to_string(raw(v));
+  out += 'v';
+  out += std::to_string(raw(v));
+  return out;
 }
 
 std::string simplex_tokens(const VertexPool& pool, const Simplex& s) {
@@ -193,20 +199,29 @@ std::string serialize_task(const Task& task) {
   for (char& c : name) {
     if (std::isspace(static_cast<unsigned char>(c))) c = '-';
   }
-  out += "task " + name + "\n";
-  out += "processes " + std::to_string(task.num_processes) + "\n";
+  out += "task ";
+  out += name;
+  out += '\n';
+  out += "processes ";
+  out += std::to_string(task.num_processes);
+  out += '\n';
   for (const Simplex& f : task.input.facets()) {
-    out += "input " + simplex_tokens(pool, f) + "\n";
+    out += "input ";
+    out += simplex_tokens(pool, f);
+    out += '\n';
   }
   for (const Simplex& tau : task.delta.domain()) {
     const auto& images = task.delta.facet_images(tau);
     if (images.empty()) continue;
-    out += "delta " + simplex_tokens(pool, tau) + " ->";
+    out += "delta ";
+    out += simplex_tokens(pool, tau);
+    out += " ->";
     for (std::size_t i = 0; i < images.size(); ++i) {
       if (i > 0) out += " |";
-      out += " " + simplex_tokens(pool, images[i]);
+      out += ' ';
+      out += simplex_tokens(pool, images[i]);
     }
-    out += "\n";
+    out += '\n';
   }
   return out;
 }

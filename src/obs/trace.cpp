@@ -287,8 +287,10 @@ std::string trace_to_json() {
   std::string metrics_args;
   for (const auto& [name, value] : MetricsRegistry::global().snapshot()) {
     if (!metrics_args.empty()) metrics_args += ", ";
-    metrics_args +=
-        "\"" + trace_detail::escape_name(name.c_str()) + "\": " + std::to_string(value);
+    metrics_args += '"';
+    metrics_args += trace_detail::escape_name(name.c_str());
+    metrics_args += "\": ";
+    metrics_args += std::to_string(value);
   }
   std::snprintf(line, sizeof(line),
                 "    {\"name\": \"metrics\", \"cat\": \"trichroma\", "

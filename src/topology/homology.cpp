@@ -5,152 +5,186 @@
 #include <cstdint>
 #include <unordered_map>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
+#include "topology/compiled.h"
 #include "topology/graph.h"
 
 namespace trichroma {
 
 namespace {
 
-/// Dense GF(2) matrix with 64-bit packed rows; supports rank computation and
-/// membership-in-column-span queries via incremental row reduction.
-class Gf2Matrix {
+/// The one GF(p) column-reduction kernel behind every homology query.
+///
+/// A column is a sparse vector over the edge table of a compiled complex:
+/// (edge index, coefficient in [1, p)) entries sorted by index. Stored
+/// columns are in echelon form: each owns its pivot, the largest index,
+/// with the pivot coefficient normalized to 1. Reducing a column cancels
+/// its pivot against the stored column owning it until the pivot is free
+/// (the remainder is new to the span) or nothing is left (it was in the
+/// span). Boundary columns of a 2-complex have three nonzeros, so columns
+/// stay short where a dense row held one slot per edge.
+class ColumnReducer {
  public:
-  Gf2Matrix(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), words_((cols + 63) / 64),
-        data_(rows * words_, 0) {}
+  struct Entry {
+    std::uint32_t row;
+    std::uint32_t coeff;
+  };
+  using Column = std::vector<Entry>;
 
-  void set(std::size_t r, std::size_t c) {
-    data_[r * words_ + c / 64] |= (std::uint64_t{1} << (c % 64));
+  ColumnReducer(std::size_t rows, long long p)
+      : p_(static_cast<std::uint64_t>(p)), owner_(rows, kFree) {
+    assert(p >= 2 && p <= 0xffffffffLL);
   }
 
-  /// Rank via Gaussian elimination (destructive on a copy).
-  std::size_t rank() const {
-    std::vector<std::vector<std::uint64_t>> rows;
-    rows.reserve(rows_);
-    for (std::size_t r = 0; r < rows_; ++r) {
-      rows.emplace_back(data_.begin() + static_cast<long>(r * words_),
-                        data_.begin() + static_cast<long>((r + 1) * words_));
+  /// Reduces `col` and stores a nonzero remainder; true iff the rank grew.
+  bool add(Column& col) {
+    reduce(col);
+    if (col.empty()) return false;
+    const std::uint64_t inv = inverse(col.back().coeff);
+    if (inv != 1) {
+      for (Entry& e : col) e.coeff = static_cast<std::uint32_t>(e.coeff * inv % p_);
     }
-    std::size_t rank = 0;
-    for (std::size_t c = 0; c < cols_ && rank < rows.size(); ++c) {
-      const std::size_t w = c / 64;
-      const std::uint64_t bit = std::uint64_t{1} << (c % 64);
-      std::size_t pivot = rank;
-      while (pivot < rows.size() && (rows[pivot][w] & bit) == 0) ++pivot;
-      if (pivot == rows.size()) continue;
-      std::swap(rows[rank], rows[pivot]);
-      for (std::size_t r = 0; r < rows.size(); ++r) {
-        if (r != rank && (rows[r][w] & bit)) {
-          for (std::size_t k = 0; k < words_; ++k) rows[r][k] ^= rows[rank][k];
-        }
-      }
-      ++rank;
-    }
-    return rank;
-  }
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  std::vector<std::uint64_t> row(std::size_t r) const {
-    return {data_.begin() + static_cast<long>(r * words_),
-            data_.begin() + static_cast<long>((r + 1) * words_)};
-  }
-
- private:
-  std::size_t rows_, cols_, words_;
-  std::vector<std::uint64_t> data_;
-};
-
-/// Row-echelon basis over GF(2); supports adding vectors and testing
-/// membership in the span.
-class Gf2Span {
- public:
-  explicit Gf2Span(std::size_t dim) : words_((dim + 63) / 64) {}
-
-  /// Reduces `v` against the basis; if nonzero remains, adds it and returns
-  /// true (dimension grew).
-  bool add(std::vector<std::uint64_t> v) {
-    reduce(v);
-    if (is_zero(v)) return false;
-    basis_.push_back(std::move(v));
-    normalize_last();
+    owner_[col.back().row] = static_cast<std::uint32_t>(start_.size() - 1);
+    entries_.insert(entries_.end(), col.begin(), col.end());
+    start_.push_back(static_cast<std::uint32_t>(entries_.size()));
     return true;
   }
 
-  bool contains(std::vector<std::uint64_t> v) const {
-    reduce(v);
-    return is_zero(v);
+  /// True iff `col` lies in the span of the stored columns (reduces it).
+  bool contains(Column& col) {
+    reduce(col);
+    return col.empty();
   }
+
+  std::size_t rank() const { return start_.size() - 1; }
 
  private:
-  static bool is_zero(const std::vector<std::uint64_t>& v) {
-    for (std::uint64_t w : v)
-      if (w != 0) return false;
-    return true;
-  }
+  static constexpr std::uint32_t kFree = 0xffffffffu;
 
-  static int leading_bit(const std::vector<std::uint64_t>& v) {
-    for (std::size_t w = 0; w < v.size(); ++w) {
-      if (v[w] != 0) {
-        return static_cast<int>(w * 64 + static_cast<std::size_t>(__builtin_ctzll(v[w])));
-      }
-    }
-    return -1;
-  }
-
-  void reduce(std::vector<std::uint64_t>& v) const {
-    for (const auto& b : basis_) {
-      const int lb = leading_bit(b);
-      if (lb >= 0 && (v[static_cast<std::size_t>(lb) / 64] &
-                      (std::uint64_t{1} << (lb % 64)))) {
-        for (std::size_t k = 0; k < v.size(); ++k) v[k] ^= b[k];
-      }
+  void reduce(Column& col) {
+    while (!col.empty()) {
+      const std::uint32_t j = owner_[col.back().row];
+      if (j == kFree) return;
+      // col -= c · stored[j]: the pivots cancel.
+      axpy(col, j, p_ - col.back().coeff);
     }
   }
 
-  void normalize_last() {
-    // Keep basis rows mutually reduced for a canonical echelon form.
-    auto& last = basis_.back();
-    for (std::size_t i = 0; i + 1 < basis_.size(); ++i) {
-      const int lb = leading_bit(last);
-      if (lb >= 0 && (basis_[i][static_cast<std::size_t>(lb) / 64] &
-                      (std::uint64_t{1} << (lb % 64)))) {
-        for (std::size_t k = 0; k < last.size(); ++k) basis_[i][k] ^= last[k];
+  /// col += factor · stored[j], merging the two sorted entry lists.
+  void axpy(Column& col, std::uint32_t j, std::uint64_t factor) {
+    scratch_.clear();
+    const Entry* b = entries_.data() + start_[j];
+    const Entry* const b_end = entries_.data() + start_[j + 1];
+    auto a = col.begin();
+    const auto a_end = col.end();
+    while (a != a_end || b != b_end) {
+      if (b == b_end || (a != a_end && a->row < b->row)) {
+        scratch_.push_back(*a++);
+      } else if (a == a_end || b->row < a->row) {
+        scratch_.push_back({b->row, static_cast<std::uint32_t>(b->coeff * factor % p_)});
+        ++b;
+      } else {
+        const std::uint64_t c = (a->coeff + b->coeff * factor) % p_;
+        if (c != 0) scratch_.push_back({a->row, static_cast<std::uint32_t>(c)});
+        ++a;
+        ++b;
       }
     }
+    col.swap(scratch_);
   }
 
-  std::size_t words_;
-  std::vector<std::vector<std::uint64_t>> basis_;
+  std::uint64_t inverse(std::uint64_t a) const {
+    // Fermat: p is prime and a != 0 mod p.
+    std::uint64_t result = 1, base = a, exp = p_ - 2;
+    while (exp > 0) {
+      if (exp & 1) result = result * base % p_;
+      base = base * base % p_;
+      exp >>= 1;
+    }
+    return result;
+  }
+
+  std::uint64_t p_;
+  std::vector<std::uint32_t> owner_;     // row -> stored column, or kFree
+  std::vector<Entry> entries_;           // stored columns, back to back
+  std::vector<std::uint32_t> start_{0};  // column j is [start_[j], start_[j+1])
+  Column scratch_;
 };
 
-/// Index mapping for the d-simplices of a complex.
-struct SimplexIndex {
-  std::vector<Simplex> list;
-  std::unordered_map<Simplex, std::size_t, SimplexHash> at;
+using Column = ColumnReducer::Column;
 
-  explicit SimplexIndex(const SimplicialComplex& k, int d) : list(k.simplices(d)) {
-    for (std::size_t i = 0; i < list.size(); ++i) at.emplace(list[i], i);
-  }
-};
-
-Gf2Matrix boundary_matrix(const SimplexIndex& lower, const SimplexIndex& upper) {
-  Gf2Matrix m(lower.list.size(), upper.list.size());
-  for (std::size_t c = 0; c < upper.list.size(); ++c) {
-    for (const Simplex& face : upper.list[c].boundary_faces()) {
-      m.set(lower.at.at(face), c);
-    }
-  }
-  return m;
+/// Edge-table index of the edge {a, b} of `c`, or -1 when it is absent.
+std::ptrdiff_t edge_of(const CompiledComplex& c, VertexId a, VertexId b) {
+  const CompiledComplex::Local u = c.local(a), v = c.local(b);
+  if (u == CompiledComplex::kAbsent || v == CompiledComplex::kAbsent) return -1;
+  return u < v ? c.edge_index(u, v) : c.edge_index(v, u);
 }
 
-std::vector<std::uint64_t> chain_to_bits(const Chain& c, const SimplexIndex& idx) {
-  std::vector<std::uint64_t> bits((idx.list.size() + 63) / 64, 0);
-  for (const Simplex& s : c) {
-    const std::size_t i = idx.at.at(s);
-    bits[i / 64] ^= (std::uint64_t{1} << (i % 64));
+/// Adds the ∂2 column of every triangle of `c` to `span`:
+/// ∂{a,b,d} = (a,b) - (a,d) + (b,d) with a < b < d, already in index order
+/// (the edge table is sorted) and with pivot (b,d) at coefficient 1.
+void add_triangle_boundaries(const CompiledComplex& c, ColumnReducer& span,
+                             long long p) {
+  const auto minus_one = static_cast<std::uint32_t>(p - 1);
+  Column col;
+  for (std::size_t t = 0; t < c.num_triangles(); ++t) {
+    const auto [a, b, d] = c.triangle(t);
+    col.assign({{static_cast<std::uint32_t>(c.edge_index(a, b)), 1},
+                {static_cast<std::uint32_t>(c.edge_index(a, d)), minus_one},
+                {static_cast<std::uint32_t>(c.edge_index(b, d)), 1}});
+    span.add(col);
   }
-  return bits;
+}
+
+/// The GF(2) column of `chain` (repeated edges cancel); false when the
+/// chain holds a simplex that is not an edge of `c`.
+bool gf2_column(const CompiledComplex& c, const Chain& chain, Column& out) {
+  std::vector<std::uint32_t> rows;
+  rows.reserve(chain.size());
+  for (const Simplex& s : chain) {
+    const std::ptrdiff_t e = s.dim() == 1 ? edge_of(c, s[0], s[1]) : -1;
+    if (e < 0) return false;
+    rows.push_back(static_cast<std::uint32_t>(e));
+  }
+  std::sort(rows.begin(), rows.end());
+  out.clear();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i + 1 < rows.size() && rows[i] == rows[i + 1]) {
+      ++i;
+    } else {
+      out.push_back({rows[i], 1});
+    }
+  }
+  return true;
+}
+
+/// The GF(p) column of `chain`; false when it leaves the edges of `c`.
+bool oriented_column(const CompiledComplex& c, const OrientedChain& chain,
+                     long long p, Column& out) {
+  out.clear();
+  for (const auto& [edge, coeff] : chain) {
+    const std::ptrdiff_t e = edge_of(c, edge[0], edge[1]);
+    if (e < 0) return false;
+    const long long r = coeff % p;
+    if (r != 0) {
+      out.push_back({static_cast<std::uint32_t>(e),
+                     static_cast<std::uint32_t>(r < 0 ? r + p : r)});
+    }
+  }
+  std::sort(out.begin(), out.end(),
+            [](const auto& x, const auto& y) { return x.row < y.row; });
+  return true;
+}
+
+/// True iff `target` lies in the GF(p) span of the ∂2 columns of `c` plus
+/// `generators`.
+bool in_boundary_span(const CompiledComplex& c, long long p,
+                      std::vector<Column>& generators, Column& target) {
+  ColumnReducer span(c.num_edges(), p);
+  add_triangle_boundaries(c, span, p);
+  for (Column& g : generators) span.add(g);
+  return span.contains(target);
 }
 
 }  // namespace
@@ -201,16 +235,23 @@ Chain loop_to_chain(const std::vector<VertexId>& closed_path) {
 }
 
 BettiNumbers betti_numbers(const SimplicialComplex& k) {
+  TRI_SPAN("topology/betti");
+  static obs::Counter& columns =
+      obs::MetricsRegistry::global().counter("topology.betti.columns");
+  // Over a field, rank ∂1 = V - b0; rank ∂2 comes from the kernel at p = 2.
+  // Cells of dimension 3 and up are ignored (b2 is not reduced by ∂3).
+  const auto c = CompiledComplex::compile(k);
+  const auto v = static_cast<long long>(c->num_vertices());
+  const auto e = static_cast<long long>(c->num_edges());
+  const auto t = static_cast<long long>(c->num_triangles());
+  ColumnReducer d2(c->num_edges(), 2);
+  add_triangle_boundaries(*c, d2, 2);
+  columns.add(c->num_triangles());
+  const auto rank_d2 = static_cast<long long>(d2.rank());
   BettiNumbers out;
-  if (k.empty()) return out;
-  const SimplexIndex v0(k, 0), v1(k, 1), v2(k, 2);
-  const std::size_t rank_d1 =
-      v1.list.empty() ? 0 : boundary_matrix(v0, v1).rank();
-  const std::size_t rank_d2 =
-      v2.list.empty() ? 0 : boundary_matrix(v1, v2).rank();
-  out.b0 = static_cast<long long>(v0.list.size() - rank_d1);
-  out.b1 = static_cast<long long>(v1.list.size() - rank_d1 - rank_d2);
-  out.b2 = static_cast<long long>(v2.list.size() - rank_d2);
+  out.b0 = static_cast<long long>(c->component_count());
+  out.b1 = e - (v - out.b0) - rank_d2;
+  out.b2 = t - rank_d2;
   return out;
 }
 
@@ -221,25 +262,14 @@ bool bounds_in(const SimplicialComplex& k, const Chain& cycle) {
 bool bounds_modulo(const SimplicialComplex& k, const Chain& cycle,
                    const std::vector<Chain>& generators) {
   assert(is_one_cycle(cycle));
-  const SimplexIndex v1(k, 1), v2(k, 2);
-  for (const Simplex& e : cycle) {
-    if (v1.at.count(e) == 0) return false;  // cycle leaves the complex
+  const auto c = CompiledComplex::compile(k);
+  Column target;
+  if (!gf2_column(*c, cycle, target)) return false;  // cycle leaves the complex
+  std::vector<Column> gens(generators.size());
+  for (std::size_t i = 0; i < generators.size(); ++i) {
+    if (!gf2_column(*c, generators[i], gens[i])) return false;
   }
-  Gf2Span span(v1.list.size());
-  // Span of ∂2 columns (the boundary space B1)...
-  for (const Simplex& t : v2.list) {
-    Chain b;
-    for (const Simplex& f : t.boundary_faces()) b.push_back(f);
-    span.add(chain_to_bits(b, v1));
-  }
-  // ... plus the allowed adjustment generators.
-  for (const Chain& g : generators) {
-    for (const Simplex& e : g) {
-      if (v1.at.count(e) == 0) return false;
-    }
-    span.add(chain_to_bits(g, v1));
-  }
-  return span.contains(chain_to_bits(cycle, v1));
+  return in_boundary_span(*c, 2, gens, target);
 }
 
 std::vector<Chain> cycle_basis(const SimplicialComplex& k) {
@@ -351,95 +381,16 @@ bool is_oriented_cycle(const OrientedChain& c) {
   return true;
 }
 
-namespace {
-
-long long mod_p(long long x, long long p) {
-  const long long r = x % p;
-  return r < 0 ? r + p : r;
-}
-
-long long mod_inverse(long long a, long long p) {
-  // Fermat: p is prime and a != 0 mod p.
-  long long result = 1, base = mod_p(a, p), exp = p - 2;
-  while (exp > 0) {
-    if (exp & 1) result = (result * base) % p;
-    base = (base * base) % p;
-    exp >>= 1;
-  }
-  return result;
-}
-
-}  // namespace
-
 bool bounds_modulo_p(const SimplicialComplex& k, const OrientedChain& cycle,
                      const std::vector<OrientedChain>& generators, long long p) {
-  // Index the edges of k.
-  const std::vector<Simplex> edges = k.simplices(1);
-  std::unordered_map<Simplex, std::size_t, SimplexHash> edge_index;
-  for (std::size_t i = 0; i < edges.size(); ++i) edge_index.emplace(edges[i], i);
-  const std::size_t n = edges.size();
-
-  auto to_vector = [&](const OrientedChain& c,
-                       std::vector<long long>& out) -> bool {
-    out.assign(n, 0);
-    for (const auto& [edge, coeff] : c) {
-      auto it = edge_index.find(edge);
-      if (it == edge_index.end()) return false;  // chain leaves the complex
-      out[it->second] = mod_p(coeff, p);
-    }
-    return true;
-  };
-
-  // Span basis (row echelon over GF(p)) of ∂2-columns plus generators.
-  std::vector<std::vector<long long>> basis;
-  std::vector<std::size_t> pivot_of;  // pivot column per basis row
-  auto reduce = [&](std::vector<long long>& v) {
-    for (std::size_t r = 0; r < basis.size(); ++r) {
-      const std::size_t piv = pivot_of[r];
-      if (v[piv] != 0) {
-        const long long factor = v[piv];
-        for (std::size_t j = 0; j < n; ++j) {
-          v[j] = mod_p(v[j] - factor * basis[r][j], p);
-        }
-      }
-    }
-  };
-  auto add_to_span = [&](std::vector<long long> v) {
-    reduce(v);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (v[j] != 0) {
-        const long long inv = mod_inverse(v[j], p);
-        for (std::size_t i = 0; i < n; ++i) v[i] = (v[i] * inv) % p;
-        basis.push_back(std::move(v));
-        pivot_of.push_back(j);
-        return;
-      }
-    }
-  };
-
-  for (const Simplex& t : k.simplices(2)) {
-    // ∂{a,b,c} = (b,c) - (a,c) + (a,b) with a < b < c.
-    OrientedChain b;
-    oriented_add_edge(b, t[1], t[2], 1);
-    oriented_add_edge(b, t[0], t[2], -1);
-    oriented_add_edge(b, t[0], t[1], 1);
-    std::vector<long long> v;
-    if (!to_vector(b, v)) return false;
-    add_to_span(std::move(v));
+  const auto c = CompiledComplex::compile(k);
+  Column target;
+  if (!oriented_column(*c, cycle, p, target)) return false;
+  std::vector<Column> gens(generators.size());
+  for (std::size_t i = 0; i < generators.size(); ++i) {
+    if (!oriented_column(*c, generators[i], p, gens[i])) return false;
   }
-  for (const OrientedChain& g : generators) {
-    std::vector<long long> v;
-    if (!to_vector(g, v)) return false;
-    add_to_span(std::move(v));
-  }
-
-  std::vector<long long> target;
-  if (!to_vector(cycle, target)) return false;
-  reduce(target);
-  for (long long x : target) {
-    if (x != 0) return false;
-  }
-  return true;
+  return in_boundary_span(*c, p, gens, target);
 }
 
 std::vector<OrientedChain> oriented_cycle_basis(const SimplicialComplex& k) {

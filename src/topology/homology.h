@@ -95,6 +95,7 @@ bool is_oriented_cycle(const OrientedChain& c);
 /// 2-simplex boundaries of `k` plus the given generator cycles. Sound
 /// impossibility certificate: a loop that extends over a disk bounds over
 /// every field, so returning false for any p refutes extendability.
+/// `p` must be a prime below 2^32.
 bool bounds_modulo_p(const SimplicialComplex& k, const OrientedChain& cycle,
                      const std::vector<OrientedChain>& generators, long long p);
 

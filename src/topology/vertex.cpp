@@ -38,9 +38,11 @@ std::string VertexPool::name(VertexId v) const {
   const Entry& e = entries_[raw(v)];
   std::string out;
   if (e.color == kNoColor) {
-    out = "_:";
+    out += "_:";
   } else {
-    out = "P" + std::to_string(e.color) + ":";
+    out += 'P';
+    out += std::to_string(e.color);
+    out += ':';
   }
   out += values_->to_string(e.value);
   return out;

@@ -92,7 +92,10 @@ TEST(Io, DotOutputMentionsEveryVertexAndEdge) {
   const std::string dot = io::to_dot(*t.pool, t.output, "hourglass");
   EXPECT_NE(dot.find("graph \"hourglass\""), std::string::npos);
   for (VertexId v : t.output.vertex_ids()) {
-    EXPECT_NE(dot.find("v" + std::to_string(raw(v)) + " ["), std::string::npos);
+    std::string node = "v";
+    node += std::to_string(raw(v));
+    node += " [";
+    EXPECT_NE(dot.find(node), std::string::npos);
   }
   // 16 edges → 16 " -- " connections.
   std::size_t count = 0, pos = 0;

@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/characterization.h"
 #include "obs/heartbeat.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -601,6 +602,34 @@ TEST(TraceStats, LiveCaptureSpanCountsMatchRegistryCounters) {
   // The live trace also exercises the critical-path extractor.
   ASSERT_FALSE(s.critical_path.empty());
   EXPECT_EQ(s.critical_path[0].name, "pipeline/run");
+}
+
+TEST(TraceStats, HomologyStageHasASpanAndWorkCounters) {
+  // The homology stage next to its work counts: `topology/betti` spans
+  // (one per Betti computation, before and after the split) with the ∂2
+  // columns they reduce, and the corner-assignment leaves and columns of
+  // the post-split homology check.
+  const Task task = zoo::subdivision_task(1);
+  const CharacterizationResult cr = characterize(task);
+  const std::uint64_t triangles =
+      cr.canonical.output.count(2) + cr.link_connected.output.count(2);
+
+  obs::MetricsRegistry::global().reset();
+  obs::trace_start();
+  run_pipeline(task, SolvabilityOptions{});
+  obs::trace_stop();
+  const obs::TraceStats s = obs::analyze_trace(obs::trace_to_json());
+  ASSERT_EQ(obs::trace_dropped(), 0u);
+
+  std::uint64_t betti_spans = 0;
+  for (const obs::SpanAggregate& agg : s.spans) {
+    if (agg.name == "topology/betti") betti_spans = agg.count;
+  }
+  EXPECT_EQ(betti_spans, 2u);
+  EXPECT_EQ(s.counters.at("topology.betti.columns"), triangles);
+  const std::uint64_t leaves = s.counters.at("core.homology.leaves");
+  EXPECT_GE(leaves, 1u);
+  EXPECT_GE(s.counters.at("core.homology.columns"), leaves);
 }
 
 }  // namespace
