@@ -6,6 +6,7 @@
 #include <tuple>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -361,6 +362,9 @@ HomologyObstruction homology_boundary_check(const Task& task,
   struct FacetInfo {
     Simplex facet;
     SimplicialComplex image;
+    // `image`, compiled on the first leaf that reaches this facet's
+    // boundary check and reused for every later leaf and prime.
+    std::shared_ptr<const CompiledComplex> compiled;
     // (edge-info index, from-vertex, to-vertex) in coherent cyclic order.
     std::vector<std::tuple<std::size_t, VertexId, VertexId>> boundary;
     std::vector<OrientedChain> generators;
@@ -398,7 +402,7 @@ HomologyObstruction homology_boundary_check(const Task& task,
   std::uint64_t leaves = 0, columns = 0;
   const bool found = search.search([&](const std::vector<VertexId>& assign) {
     ++leaves;
-    for (const FacetInfo& info : facet_infos) {
+    for (FacetInfo& info : facet_infos) {
       // Boundary loop: corner-to-corner shortest paths inside each edge
       // image, concatenated head-to-tail (any path works; other choices
       // differ by edge-image cycles, which are in the generator span).
@@ -417,9 +421,12 @@ HomologyObstruction homology_boundary_check(const Task& task,
         return false;
       }
       if (loop.empty()) continue;
+      if (info.compiled == nullptr) {
+        info.compiled = CompiledComplex::compile(info.image);
+      }
       for (const long long p : primes) {
         columns += info.image.count(2) + info.generators.size() + 1;
-        if (!bounds_modulo_p(info.image, loop, info.generators, p)) {
+        if (!bounds_modulo_p(*info.compiled, loop, info.generators, p)) {
           last_failure = "boundary loop of facet " + info.facet.to_string(pool) +
                          " never bounds over GF(" + std::to_string(p) + ")";
           return false;

@@ -52,8 +52,10 @@ inline constexpr char kStoreSchema[] = "trichroma.store/1";
 
 /// Verdict-record body format version (inside the container). v2 added the
 /// budget knobs the record was produced under, so a sibling scan can tell
-/// which stored run differs from the live one in `--max-radius` alone.
-inline constexpr char kVerdictRecordSchema[] = "trichroma.verdict-record/3";
+/// which stored run differs from the live one in `--max-radius` alone. v4
+/// marks the exact per-node map-search counts, so records holding the old
+/// flush-boundary `nodes_explored` read as misses.
+inline constexpr char kVerdictRecordSchema[] = "trichroma.verdict-record/4";
 
 /// Digest of the budget fields + resolved schedule a verdict depends on.
 /// 16 hex characters (FNV-1a 64 over a canonical rendering).

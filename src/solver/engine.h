@@ -168,7 +168,7 @@ class GenericConnectivityEngine final : public AnalysisEngine {
 };
 
 /// Support: canonicalize + LAP-split (T → T* → T'). Interns into the task's
-/// pool, so the pipeline runs it on a clone_task copy.
+/// pool; the pipeline runs it to completion before the chromatic probe.
 class CharacterizeEngine final : public AnalysisEngine {
  public:
   explicit CharacterizeEngine(const Task& task) : task_(task) {}

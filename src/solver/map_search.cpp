@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <memory_resource>
 #include <unordered_map>
@@ -58,15 +57,13 @@ obs::Histogram& image_vertices_histogram() {
   return h;
 }
 // Binary rows proven unable to prune, skipped before the row load. Flushed
-// once per solver run (the small-CSP path, the prefix expansion, and each
-// prefix of the canonical walk).
+// once per search.
 obs::Counter& fastpath_counter() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
       "search.propagate.fastpath_skips");
   return c;
 }
-// Bytes reserved on search arenas at CSP compilation, the small-CSP solver
-// and the expansion's scratch solvers.
+// Bytes reserved on search arenas at CSP compilation and by the solver.
 obs::Counter& arena_counter() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
       "search.arena.bytes_reserved");
@@ -301,16 +298,9 @@ namespace {
 // trail, undo marks) live on monotonic arenas — the inner search never
 // touches the allocator. Variables are picked dynamically by minimum
 // remaining values. The search is systematic, so a negative answer with
-// `exhausted = true` is a proof of non-existence at this radius.
-//
-// CSPs with at least kMinVariablesForSplit variables are searched in two
-// steps: the top levels of the (MRV-ordered) search tree are expanded
-// breadth-first into a fixed set of ~kSplitTargetJobs disjoint partial
-// assignments in DFS order, then a canonical walk searches those prefixes
-// in that order as one sequential run, its node counter carried across
-// prefixes and its budget checked at global flush boundaries. The split
-// fixes where nodes_explored lands and where the node cap fires, so both
-// are pure functions of the CSP and the budget.
+// `exhausted = true` is a proof of non-existence at this radius. Every node
+// is charged against the budget as it is entered, so a capped search stops
+// at exactly node_cap + 1 nodes.
 //
 // Determinism of the word-parallel propagation: every shrink is a monotone
 // intersection, so the fixed point reached by a propagate() call — and
@@ -570,27 +560,13 @@ Csp build_csp(const VertexPool& pool, const SubdividedComplex& domain,
   return csp;
 }
 
-constexpr std::size_t kNoBudget = static_cast<std::size_t>(-1);
-// Node charges are reconciled against the budget only at flush boundaries
-// (every kNodeFlushBatch-th charge); the canonical walk below is defined in
-// terms of the same boundaries, so where the cap fires is fixed.
-constexpr std::size_t kNodeFlushBatch = 256;
-// The prefix decomposition is fixed: the job list is a pure function of the
-// CSP.
-constexpr std::size_t kSplitTargetJobs = 64;
-constexpr std::size_t kMaxPrefixDepth = 6;
-
 struct Solver {
   const Csp& csp;
-  bool dynamic_ordering = true;
+  const bool dynamic_ordering;
+  const std::size_t node_cap;  // checked on every node
 
-  // Node budget, checked at flush boundaries.
-  std::size_t local_budget = kNoBudget;
-  std::size_t flush_batch = kNodeFlushBatch;
-
-  bool aborted = false;   // unwound at a flush boundary
+  bool aborted = false;   // unwound on the budget
   std::size_t total_nodes = 0;
-  std::size_t unflushed = 0;
   std::size_t fastpath_skips = 0;  // binary rows elided by skip masks
 
   struct TrailEntry {
@@ -617,8 +593,11 @@ struct Solver {
            words * sizeof(Mask) + c.trail_bound * sizeof(TrailEntry) + 128;
   }
 
-  Solver(const Csp& c, bool mrv)
-      : csp(c), dynamic_ordering(mrv), arena(arena_bytes(c)) {
+  Solver(const Csp& c, const MapSearchOptions& options)
+      : csp(c),
+        dynamic_ordering(options.dynamic_ordering),
+        node_cap(options.node_cap),
+        arena(arena_bytes(c)) {
     domain = arena_array<Mask>(arena, c.n);
     std::copy_n(c.full_domain, c.n, domain);
     assigned = arena_array<std::int32_t>(arena, c.n);
@@ -757,26 +736,12 @@ struct Solver {
     return best;
   }
 
-  /// Counts a node; false when the search must unwind (budget gone at a
-  /// flush boundary).
+  /// Counts a node; false when the search must unwind (budget gone).
   bool charge_node() {
-    ++total_nodes;
-    if (++unflushed < flush_batch) return true;
-    unflushed = 0;
-    if (total_nodes > local_budget) {
+    if (++total_nodes > node_cap) {
       obs::MetricsRegistry::global().counter("map_search.cap_hits").add();
       aborted = true;
       return false;
-    }
-    return true;
-  }
-
-  /// Applies a decision prefix without charging (the expansion already paid
-  /// for enumerating it). False when propagation wipes out: empty subtree.
-  bool replay(const std::pair<std::uint32_t, std::int32_t>* prefix,
-              std::size_t len) {
-    for (std::size_t i = 0; i < len; ++i) {
-      if (!assign(prefix[i].first, prefix[i].second)) return false;
     }
     return true;
   }
@@ -811,22 +776,14 @@ struct Solver {
       live &= live - 1;
       const bool ok = assign(best, j) && search();
       if (ok) return true;
-      if (aborted) {
-        // Budget exceeded somewhere below: unwind without exploring more.
-        assigned[best] = -1;
-        unassigned[best >> 6] |= Mask{1} << (best & 63);
-        return false;
-      }
+      // Budget exceeded somewhere below: unwind without exploring more (the
+      // solver is discarded, so its state need not be restored).
+      if (aborted) return false;
       undo_to_mark(best);
     }
     return false;
   }
 };
-
-// Splitting a search that dies within a few hundred nodes only pays
-// expansion overhead; tiny CSPs (low radii, solo/edge-only inputs) run the
-// plain backtracker. Verdicts are unaffected — both paths are complete.
-constexpr std::size_t kMinVariablesForSplit = 10;
 
 void emit_map(const Csp& csp, const std::int32_t* assigned,
               MapSearchResult& result) {
@@ -837,169 +794,16 @@ void emit_map(const Csp& csp, const std::int32_t* assigned,
   }
 }
 
-/// Small-CSP path: the plain sequential backtracker with the seed engine's
-/// exact per-node budget checks (flush batch 1).
-void run_small(const Csp& csp, const MapSearchOptions& options,
-               MapSearchResult& result) {
+/// The plain sequential backtracker, with the budget checked on every node.
+void run_search(const Csp& csp, const MapSearchOptions& options,
+                MapSearchResult& result) {
   arena_counter().add(Solver::arena_bytes(csp));
-  Solver solver(csp, options.dynamic_ordering);
-  solver.flush_batch = 1;
-  solver.local_budget = options.node_cap;
+  Solver solver(csp, options);
   const bool found = solver.search();
   fastpath_counter().add(solver.fastpath_skips);
   result.nodes_explored = solver.total_nodes;
   result.exhausted = !solver.aborted;
   if (found) emit_map(csp, solver.assigned, result);
-}
-
-/// One disjoint chunk of the search space: the decision prefix reaching one
-/// node at the top of the MRV tree. The prefix borrows from Expansion::pool
-/// (stable for the expansion's life).
-struct PrefixJob {
-  const std::pair<std::uint32_t, std::int32_t>* prefix = nullptr;
-  std::size_t prefix_len = 0;
-};
-
-struct Expansion {
-  // Flat append-only storage for all prefixes: one allocation amortized
-  // over every job instead of a vector per prefix.
-  std::vector<std::pair<std::uint32_t, std::int32_t>> pool;
-  std::vector<PrefixJob> jobs;  // DFS (lexicographic value-index) order
-  std::size_t nodes = 0;        // charges paid enumerating the prefixes
-  bool capped = false;
-};
-
-// Fixed decomposition: expand the top of the MRV tree
-// breadth-first into ~kSplitTargetJobs disjoint prefixes, then sort them
-// into DFS order. Sibling values are enumerated ascending and the variable
-// at each level is a function of the prefix, so comparing value indices
-// lexicographically reproduces the depth-first visit order. Expansion is
-// where prefix enumeration is charged — the walk replays each prefix for
-// free, so a prefix is paid for exactly once.
-Expansion expand_prefixes(const Csp& csp, const MapSearchOptions& options) {
-  TRI_SPAN("map_search/expand_prefixes");
-  Expansion out;
-  struct Span {
-    std::uint32_t off = 0;
-    std::uint32_t len = 0;
-  };
-  std::deque<Span> open;
-  std::vector<Span> leaves;
-  auto& pool = out.pool;
-  std::size_t skips = 0;
-  const std::size_t solver_bytes = Solver::arena_bytes(csp);
-  open.push_back({});
-  while (!open.empty() && open.size() + leaves.size() < kSplitTargetJobs) {
-    const Span p = open.front();
-    open.pop_front();
-    if (p.len >= kMaxPrefixDepth) {
-      leaves.push_back(p);
-      continue;
-    }
-    arena_counter().add(solver_bytes);
-    Solver scratch(csp, options.dynamic_ordering);
-    scratch.flush_batch = 1;  // exact budget checks while splitting
-    scratch.local_budget =
-        options.node_cap > out.nodes ? options.node_cap - out.nodes : 0;
-    bool dead = false;
-    for (std::uint32_t i = 0; i < p.len; ++i) {
-      const auto [var, j] = pool[p.off + i];
-      if (!scratch.charge_node()) {
-        // Budget exhausted during splitting — report like the small-CSP
-        // path would: inconclusive, nothing found.
-        out.nodes += scratch.total_nodes;
-        out.capped = true;
-        fastpath_counter().add(skips + scratch.fastpath_skips);
-        return out;
-      }
-      if (!scratch.assign(var, j)) {
-        dead = true;
-        break;
-      }
-    }
-    out.nodes += scratch.total_nodes;
-    skips += scratch.fastpath_skips;
-    if (dead) continue;  // empty subtree: exhausted by propagation alone
-    const std::size_t var = scratch.select_variable();
-    if (var == csp.n) {
-      // The prefix assigns every variable (unreachable while
-      // kMaxPrefixDepth < kMinVariablesForSplit, but kept correct): the
-      // walk's replay-then-search will confirm it as a zero-node witness.
-      leaves.push_back(p);
-      continue;
-    }
-    Mask live = scratch.domain[var];
-    while (live) {
-      const auto j = static_cast<std::int32_t>(__builtin_ctzll(live));
-      live &= live - 1;
-      const auto off = static_cast<std::uint32_t>(pool.size());
-      pool.reserve(pool.size() + p.len + 1);
-      for (std::uint32_t i = 0; i < p.len; ++i) pool.push_back(pool[p.off + i]);
-      pool.push_back({static_cast<std::uint32_t>(var), j});
-      open.push_back({off, p.len + 1});
-    }
-  }
-  fastpath_counter().add(skips);
-  for (const Span& p : open) leaves.push_back(p);
-  std::sort(leaves.begin(), leaves.end(),
-            [&pool](const Span& a, const Span& b) {
-              const std::uint32_t n = std::min(a.len, b.len);
-              for (std::uint32_t i = 0; i < n; ++i) {
-                if (pool[a.off + i].second != pool[b.off + i].second) {
-                  return pool[a.off + i].second < pool[b.off + i].second;
-                }
-              }
-              return a.len < b.len;
-            });
-  out.jobs.reserve(leaves.size());
-  for (const Span& p : leaves) {
-    out.jobs.push_back({pool.data() + p.off, p.len});
-  }
-  return out;
-}
-
-// Canonical walk: search the jobs in DFS order as ONE sequential run whose
-// node counter carries across jobs — the budget is reconciled at *global*
-// flush boundaries (node counts 256, 512, ...), so where the cap fires does
-// not depend on how the counter is sliced into subtrees.
-void canonical_walk(const Csp& csp, const MapSearchOptions& options,
-                    const std::vector<PrefixJob>& jobs, std::size_t base,
-                    MapSearchResult& result) {
-  for (const PrefixJob& job : jobs) {
-    Solver solver(csp, options.dynamic_ordering);
-    solver.local_budget = options.node_cap;
-    solver.total_nodes = base;                  // global counter, carried over
-    solver.unflushed = base % kNodeFlushBatch;  // global flush phase
-    if (!solver.replay(job.prefix, job.prefix_len)) {
-      fastpath_counter().add(solver.fastpath_skips);
-      continue;
-    }
-    const bool solved = solver.search();
-    if (!solved && solver.aborted) {
-      result.exhausted = false;
-      result.nodes_explored = solver.total_nodes;
-      return;
-    }
-    base = solver.total_nodes;
-    fastpath_counter().add(solver.fastpath_skips);
-    if (solved) {
-      result.nodes_explored = base;
-      emit_map(csp, solver.assigned, result);
-      return;
-    }
-  }
-  result.nodes_explored = base;  // every subtree exhausted
-}
-
-void run_split(const Csp& csp, const MapSearchOptions& options,
-               MapSearchResult& result) {
-  const Expansion expansion = expand_prefixes(csp, options);
-  if (expansion.capped) {
-    result.exhausted = false;
-    result.nodes_explored = expansion.nodes;
-    return;
-  }
-  canonical_walk(csp, options, expansion.jobs, expansion.nodes, result);
 }
 
 }  // namespace
@@ -1044,11 +848,7 @@ MapSearchResult find_decision_map(const VertexPool& pool,
   if (csp.trivially_unsat) return result;
   arena_counter().add(csp.bytes_reserved);
 
-  if (csp.n < kMinVariablesForSplit) {
-    run_small(csp, options, result);
-  } else {
-    run_split(csp, options, result);
-  }
+  run_search(csp, options, result);
   return result;
 }
 

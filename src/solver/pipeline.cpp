@@ -42,10 +42,7 @@ std::size_t facet_count(const SimplicialComplex& k) {
   return top < 0 ? 0 : k.count(top);
 }
 
-// Everything the impossibility lane produces. The lane owns a clone of the
-// task (characterize interns into its pool), so its engines' vertex ids are
-// only meaningful against the clone's pool — which `characterization` keeps
-// alive.
+// Everything the impossibility lane produces.
 struct ImpossibilityLane {
   EngineReport characterize =
       make_skipped("characterize", EngineSide::Support, 1);
@@ -74,9 +71,9 @@ struct ImpossibilityLane {
 };
 
 /// The n > 3 impossibility lane: just the generic pre-split CSP.
-void run_generic_chain(const Task& lane_task, const EngineBudget& budget,
+void run_generic_chain(const Task& task, const EngineBudget& budget,
                        ImpossibilityLane& lane) {
-  GenericConnectivityEngine engine(lane_task);
+  GenericConnectivityEngine engine(task);
   lane.generic = engine.run(budget);
   lane.concluded_impossible = lane.generic.status == EngineStatus::Conclusive;
 }
@@ -86,9 +83,9 @@ void run_generic_chain(const Task& lane_task, const EngineBudget& budget,
 /// the result payload either way) but rank *after* them in precedence,
 /// mirroring the pre-refactor ladder's check order; the homology engine is
 /// skipped once the CSP already concluded, as the ladder returned early.
-void run_impossibility_chain(const Task& lane_task, const EngineBudget& budget,
+void run_impossibility_chain(const Task& task, const EngineBudget& budget,
                              ImpossibilityLane& lane) {
-  CharacterizeEngine characterize(lane_task);
+  CharacterizeEngine characterize(task);
   lane.characterize = characterize.run(budget);
   if (lane.characterize.status != EngineStatus::Completed) return;
   lane.characterization = characterize.result();
@@ -120,7 +117,7 @@ void run_impossibility_chain(const Task& lane_task, const EngineBudget& budget,
 }
 
 /// The color-agnostic probe on T' — the characterization's possibility
-/// engine, run on the lane's clone after the chromatic probe came up empty.
+/// engine, run after the chromatic probe came up empty.
 void run_agnostic_probe(const EngineBudget& budget, ImpossibilityLane& lane) {
   if (lane.characterization == nullptr) return;
   ProbeEngine probe(lane.characterization->link_connected,
@@ -412,16 +409,15 @@ PipelineResult run_pipeline(const Task& task, const SolvabilityOptions& options)
   ImpossibilityLane lane;
 
   // The ladder: impossibility chain, chromatic probe, T'-agnostic probe,
-  // each side skipped once an earlier engine concluded. The lane interns
-  // into its own clone of the task; the chromatic probe interns into the
-  // original pool.
+  // each side skipped once an earlier engine concluded. Every engine interns
+  // into the task's own pool; characterize finishes before the chromatic
+  // probe starts, and the probe's subdivision vertices keep their relative
+  // id order, so the CSP variable order is the same as on a fresh pool.
   if (generic_route) {
-    const Task lane_task = clone_task(task);
-    run_generic_chain(lane_task, budget, lane);
+    run_generic_chain(task, budget, lane);
     if (!lane.concluded_impossible) chromatic_report = chromatic.run(budget);
   } else if (characterize_route) {
-    const Task lane_task = clone_task(task);
-    run_impossibility_chain(lane_task, budget, lane);
+    run_impossibility_chain(task, budget, lane);
     if (!lane.concluded_impossible) {
       chromatic_report = chromatic.run(budget);
       if (chromatic_report.status != EngineStatus::Conclusive) {

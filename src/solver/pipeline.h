@@ -4,9 +4,9 @@
 //
 // Schedule. One fixed sequence, Theorem 5.1's decision procedure in order:
 // the impossibility chain (characterize → Corollaries 5.5/5.6 → post-split
-// CSP → homology, on a clone_task copy of the task), then the chromatic
-// probe ladder on the task itself, then the T'-agnostic probe on T' — each
-// skipped as soon as an earlier engine concludes. Tasks of four or more
+// CSP → homology), then the chromatic probe ladder, then the T'-agnostic
+// probe on T' — all on the task itself and its pool, each skipped as soon
+// as an earlier engine concludes. Tasks of four or more
 // processes run the generic connectivity CSP, then the chromatic probe;
 // two-process tasks run Proposition 5.4's exact engine alone.
 //
@@ -114,7 +114,7 @@ struct PipelineResult {
   VertexMap witness;
 
   /// The characterization engine's output, when it ran. The contained
-  /// tasks reference the lane's cloned pool (kept alive here).
+  /// tasks share the original task's pool.
   std::shared_ptr<CharacterizationResult> characterization;
   CorollaryResult cor55;
   CorollaryResult cor56;

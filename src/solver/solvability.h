@@ -61,9 +61,8 @@ struct SolvabilityResult {
   VertexMap witness;
 
   /// The characterization pipeline output (populated for three-process
-  /// tasks with the route enabled). Its tasks reference their own cloned
-  /// pool — use
-  /// `characterization->canonical.pool` for names, not the original task's.
+  /// tasks with the route enabled). Its tasks share the original task's
+  /// pool, which also holds the vertices the split loop interned.
   std::shared_ptr<CharacterizationResult> characterization;
   /// Pre-split corollaries, for reporting.
   CorollaryResult cor55;

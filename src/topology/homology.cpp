@@ -381,16 +381,20 @@ bool is_oriented_cycle(const OrientedChain& c) {
   return true;
 }
 
-bool bounds_modulo_p(const SimplicialComplex& k, const OrientedChain& cycle,
+bool bounds_modulo_p(const CompiledComplex& k, const OrientedChain& cycle,
                      const std::vector<OrientedChain>& generators, long long p) {
-  const auto c = CompiledComplex::compile(k);
   Column target;
-  if (!oriented_column(*c, cycle, p, target)) return false;
+  if (!oriented_column(k, cycle, p, target)) return false;
   std::vector<Column> gens(generators.size());
   for (std::size_t i = 0; i < generators.size(); ++i) {
-    if (!oriented_column(*c, generators[i], p, gens[i])) return false;
+    if (!oriented_column(k, generators[i], p, gens[i])) return false;
   }
-  return in_boundary_span(*c, p, gens, target);
+  return in_boundary_span(k, p, gens, target);
+}
+
+bool bounds_modulo_p(const SimplicialComplex& k, const OrientedChain& cycle,
+                     const std::vector<OrientedChain>& generators, long long p) {
+  return bounds_modulo_p(*CompiledComplex::compile(k), cycle, generators, p);
 }
 
 std::vector<OrientedChain> oriented_cycle_basis(const SimplicialComplex& k) {

@@ -14,6 +14,7 @@
 #include <optional>
 #include <vector>
 
+#include "topology/compiled.h"
 #include "topology/complex.h"
 
 namespace trichroma {
@@ -96,6 +97,11 @@ bool is_oriented_cycle(const OrientedChain& c);
 /// impossibility certificate: a loop that extends over a disk bounds over
 /// every field, so returning false for any p refutes extendability.
 /// `p` must be a prime below 2^32.
+bool bounds_modulo_p(const CompiledComplex& k, const OrientedChain& cycle,
+                     const std::vector<OrientedChain>& generators, long long p);
+
+/// Convenience overload: compiles `k`, then runs the check above. Callers
+/// checking one complex for several primes should compile it once.
 bool bounds_modulo_p(const SimplicialComplex& k, const OrientedChain& cycle,
                      const std::vector<OrientedChain>& generators, long long p);
 

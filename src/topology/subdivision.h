@@ -99,12 +99,6 @@ ChTemplate build_ch_template(std::size_t n);
 /// `ordered_partitions`.
 const ChTemplate& ch_template(std::size_t n);
 
-/// The pre-template `subdivide_once` (per-simplex ordered-partition
-/// enumeration), kept as the differential-testing oracle for the stamped
-/// path. Produces identical complexes, carriers, and pool state.
-SubdividedComplex subdivide_once_reference(VertexPool& pool,
-                                           const SubdividedComplex& prev);
-
 /// Incremental cache of the subdivision tower Ch^0, Ch^1, Ch^2, ... of one
 /// base complex. Every cached level carries its CompiledComplex snapshot,
 /// so the solver's hot paths (CSP compilation, LAP scans) get the flat form

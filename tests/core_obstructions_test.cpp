@@ -5,6 +5,7 @@
 
 #include "core/characterization.h"
 #include "core/obstructions.h"
+#include "obs/metrics.h"
 #include "tasks/canonical.h"
 #include "tasks/zoo.h"
 #include "topology/graph.h"
@@ -173,6 +174,24 @@ TEST(Homology, SurfaceLoopAgreementRefuted) {
   // RP2's essential loop is 2-torsion: H1(RP2; GF(2)) = Z2 sees it.
   EXPECT_FALSE(
       homology_boundary_check(zoo::loop_agreement_projective_plane()).feasible);
+}
+
+TEST(Homology, FacetImagesCompileOncePerCheckWhateverThePrimes) {
+  // Each facet image is compiled once per check, not once per prime and
+  // leaf: on the torus loop's T' the check costs as many compiles with
+  // primes {2} as with {2, 3}.
+  const CharacterizationResult c = characterize(zoo::loop_agreement_torus());
+  const Task& tp = c.link_connected;
+  const obs::Counter& compiles =
+      obs::MetricsRegistry::global().counter("topology.compiles");
+  auto compiles_for = [&](const std::vector<long long>& primes) {
+    const std::uint64_t before = compiles.value();
+    EXPECT_FALSE(homology_boundary_check(tp, primes).feasible);
+    return compiles.value() - before;
+  };
+  const std::uint64_t gf2 = compiles_for({2});
+  EXPECT_EQ(compiles_for({2, 3}), gf2);
+  EXPECT_GT(gf2, 0u);
 }
 
 }  // namespace

@@ -166,9 +166,10 @@ TEST(Store, VerdictRecordVersionMismatchIsAMiss) {
   const PipelineReport cold =
       run_pipeline(zoo::consensus_2(), SolvabilityOptions{}).report;
   std::string body = io::serialize_verdict_record(cold);
-  const auto pos = body.find("trichroma.verdict-record/3");
+  const std::string schema = io::kVerdictRecordSchema;
+  const auto pos = body.find(schema);
   ASSERT_NE(pos, std::string::npos);
-  body.replace(pos, 26, "trichroma.verdict-record/9");
+  body.replace(pos, schema.size(), "trichroma.verdict-record/9");
   PipelineReport parsed;
   EXPECT_FALSE(io::parse_verdict_record(body, &parsed));
 }

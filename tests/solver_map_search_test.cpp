@@ -102,13 +102,30 @@ TEST(MapSearch, WitnessIsCarriedByDelta) {
 }
 
 TEST(MapSearch, NodeCapReportsNonExhaustive) {
+  // set_agreement_32 has no decision map on Ch^1; the full search visits
+  // 385 nodes. Every node is charged against the cap as it is entered, so a
+  // capped search stops on node cap + 1 — the first node over budget.
   const Task t = zoo::set_agreement_32();
   const SubdividedComplex domain = chromatic_subdivision(*t.pool, t.input, 1);
-  MapSearchOptions options;
-  options.node_cap = 3;
-  const auto res = find_decision_map(*t.pool, domain, t, options);
-  EXPECT_FALSE(res.found);
-  EXPECT_FALSE(res.exhausted);
+  struct Row {
+    std::size_t cap;
+    bool exhausted;
+    std::size_t nodes;
+  };
+  const Row rows[] = {{3, false, 4},
+                      {50, false, 51},
+                      {300, false, 301},
+                      {384, false, 385},
+                      {385, true, 385},
+                      {MapSearchOptions{}.node_cap, true, 385}};
+  for (const Row& row : rows) {
+    MapSearchOptions options;
+    options.node_cap = row.cap;
+    const auto res = find_decision_map(*t.pool, domain, t, options);
+    EXPECT_FALSE(res.found) << "cap " << row.cap;
+    EXPECT_EQ(res.exhausted, row.exhausted) << "cap " << row.cap;
+    EXPECT_EQ(res.nodes_explored, row.nodes) << "cap " << row.cap;
+  }
 }
 
 TEST(MapSearch, DomainWiderThan64ReportsOverflowNotUnsat) {

@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "tasks/zoo.h"
@@ -16,6 +18,64 @@
 
 namespace trichroma {
 namespace {
+
+// The pre-template subdivide_once (per-simplex ordered-partition
+// enumeration): the differential-testing oracle for the stamped path.
+// Produces identical complexes, carriers, and pool state.
+SubdividedComplex subdivide_once_reference(VertexPool& pool,
+                                           const SubdividedComplex& prev) {
+  SubdividedComplex out;
+  ValuePool& values = pool.values();
+  const ValueId view_tag = values.of_string("view");
+
+  // Interns the subdivision vertex for (process-vertex u, view V).
+  auto subdivision_vertex = [&](VertexId u, const Simplex& view) {
+    std::vector<ValueId> members;
+    members.reserve(view.size());
+    for (VertexId w : view) {
+      members.push_back(values.of_int(static_cast<std::int64_t>(raw(w))));
+    }
+    const ValueId view_value =
+        values.of_tuple({view_tag, values.of_set(std::move(members))});
+    const VertexId nv = pool.vertex(pool.color(u), view_value);
+    if (out.carrier.count(nv) == 0) {
+      out.carrier.emplace(nv, prev.carrier_of(view));
+    }
+    return nv;
+  };
+
+  // Subdivide every simplex; the union glues correctly along shared faces
+  // because subdivision vertices are interned by (color, view). Each facet
+  // streams both into the mutable hash-set form and into the flat compiled
+  // builder, so the snapshot costs one sort instead of a second traversal.
+  // Simplices are enumerated in canonical (sorted) order, not hash-set
+  // order: the intern sequence of the new level's vertices must be a
+  // function of `prev`'s *content* so that a level reconstructed from a
+  // stored artifact (io/store.h) extends to the identical pool state a
+  // cold build reaches.
+  CompiledComplex::Builder builder;
+  for (const Simplex& sigma : prev.complex.all_simplices()) {
+    for (const auto& partition : ordered_partitions(sigma.vertices())) {
+      Simplex view;  // running union B1 ∪ ... ∪ Bj
+      std::vector<VertexId> facet_vertices;
+      facet_vertices.reserve(sigma.size());
+      for (const auto& block : partition) {
+        for (VertexId u : block) view = view.with(u);
+        for (VertexId u : block) {
+          facet_vertices.push_back(subdivision_vertex(u, view));
+        }
+      }
+      Simplex facet(std::move(facet_vertices));
+      builder.add(facet);
+      out.complex.add(facet);
+    }
+  }
+  out.compiled = builder.finish();
+#ifndef NDEBUG
+  out.compiled->debug_verify_against(out.complex);
+#endif
+  return out;
+}
 
 std::vector<std::vector<std::uint32_t>> facet_table(const SimplicialComplex& c) {
   std::vector<std::vector<std::uint32_t>> out;
